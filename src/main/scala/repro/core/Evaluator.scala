@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.data.GridCounts
+import repro.data.{CityConfig, CountCube}
 import repro.model.ModelTier
 
 import scala.collection.mutable
@@ -45,209 +43,107 @@ final case class EvalConfig(
 
 /** Upper-bound evaluator (paper Algorithm 3), memoized per grid size.
   *
-  * HGrid-lattice counts and the α surface are computed once per evaluator
-  * (they do not depend on n); each new grid size then costs one Spark
-  * pipeline: MGrid roll-up + model predictions + per-MGrid expression
-  * error. Search algorithms pay one pipeline per *distinct* grid size they
-  * visit — the cost unit of the paper's Table IV.
+  * Reads the city's [[CountCube]], which Spark counted once; nothing here
+  * runs a Spark job. The α surface is summed once per evaluator. Each new
+  * grid size then costs plain array arithmetic over the cube: MGrid block
+  * sums, HA(k) predictions, Eq. 20 model error and test-day real error,
+  * plus the expression-error kernel (parallel over slots). Search
+  * algorithms pay one evaluation per *distinct* grid size they visit, the
+  * cost unit of the paper's Table IV.
   */
-final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfig) {
+final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
+  require(cfg.nTargetSide == cube.side,
+    s"nTargetSide ${cfg.nTargetSide} differs from the count cube's side ${cube.side}")
+  require(cfg.testDay < cube.days,
+    s"testDay ${cfg.testDay} is outside the count cube's days 0 until ${cube.days}")
 
   private val cache = mutable.Map.empty[Int, Map[Int, SlotEval]]
 
-  /** Cumulative wall time spent in cache-missing evaluations (includes the
-    * one-off counts/α pass on the first evaluation).
-    */
-  var wallNanos: Long = 0L
   def evalCount: Int = cache.size
 
-  /** All-slot evaluation of one grid size (memoized). */
-  def apply(nSide: Int): Map[Int, SlotEval] =
-    cache.getOrElseUpdate(nSide, {
-      val t0 = System.nanoTime()
-      val r = compute(nSide)
-      wallNanos += System.nanoTime() - t0
-      r
-    })
+  /** All-slot evaluation of one grid size (memoized): exactly the keys
+    * 0 until [[CityConfig.Slots]].
+    */
+  def apply(nSide: Int): Map[Int, SlotEval] = cache.getOrElseUpdate(nSide, compute(nSide))
 
   /** Objective e(√n) for one (slot, model) — what the searches minimize. */
   def objective(slot: Int, model: ModelTier): Int => Double =
     nSide => apply(nSide)(slot).upper(model.name)
 
-  private def zero(slot: Int): SlotEval =
-    SlotEval(slot,
-      0.0,
-      cfg.models.map(_.name -> 0.0).toMap,
-      cfg.models.map(_.name -> 0.0).toMap)
+  /** Drop the memo. */
+  def close(): Unit = cache.clear()
 
-  private def predCol(mt: ModelTier, d: Int): String = s"pred_${mt.name}_$d"
-
-  // ---- n-independent state: HGrid counts and the α surface -------------
-  private lazy val counts: DataFrame = {
-    val c = GridCounts.at(events, cfg.nTargetSide).cache()
-    c.count()
-    c
-  }
-
-  private lazy val alphaDf: DataFrame = {
-    val a = GridCounts
-      .alpha(counts, cfg.testDay - cfg.trainWindow, cfg.testDay)
-      .cache()
-    a.count()
-    a
-  }
-
-  /** Drop this evaluator's cached DataFrames. */
-  def close(): Unit = {
-    alphaDf.unpersist()
-    counts.unpersist()
-  }
+  /** α_ij over the train window, per slot (n-independent). */
+  private lazy val alpha = cube.alpha(cfg.testDay - cfg.trainWindow, cfg.testDay)
 
   private def compute(nSide: Int): Map[Int, SlotEval] = {
     val spec = GridSpec(nSide, cfg.nTargetSide)
-    val testDay = cfg.testDay
-
-    // --- expression error: Alg. 2 per HGrid, grouped by MGrid ----------
-    val exprBySlot: Map[Int, Double] =
-      ExpressionError.totalPerSlot(spark, alphaDf, spec)
-        .collect()
-        .map(r => r.getInt(0) -> r.getDouble(1))
-        .toMap
-
-    // --- model predictions: one wide conditional aggregation -----------
-    val mcounts = GridCounts.rollupTo(counts, spec.hSide, nSide)
-    val targets = cfg.valDays :+ testDay
-    val minDay = targets.map(d => d - cfg.models.map(_.k).max).min
-    val actCols: Seq[Column] = targets.map(d =>
-      sum(when(col("day") === d, col("cnt")).otherwise(lit(0L))).as(s"act_$d"))
-    val predCols: Seq[Column] = for { mt <- cfg.models; d <- targets } yield
-      (sum(when(col("day").between(d - mt.k, d - 1), col("cnt")).otherwise(lit(0L))) / mt.k)
-        .as(predCol(mt, d))
-    val allAgg = actCols ++ predCols
-    val wide = mcounts
-      .where(col("day") >= math.max(0, minDay) && col("day") <= testDay)
-      .groupBy(col("slot"), col("cx"), col("cy"))
-      .agg(allAgg.head, allAgg.tail: _*)
-      .cache()
-    try {
-      // --- model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i| ---
-      val meCols: Seq[Column] = cfg.models.map { mt =>
-        (cfg.valDays
-          .map(d => sum(abs(col(predCol(mt, d)) - col(s"act_$d"))))
-          .reduce(_ + _) / cfg.valDays.size).as(s"me_${mt.name}")
-      }
-      val meBySlot: Map[Int, Map[String, Double]] = wide
-        .groupBy(col("slot"))
-        .agg(meCols.head, meCols.tail: _*)
-        .collect()
-        .map { r =>
-          r.getInt(0) -> cfg.models.map(mt => mt.name -> r.getAs[Double](s"me_${mt.name}")).toMap
-        }
-        .toMap
-
-      // --- real error on the test day (Σ_ij |λ̂_i/m_i − λ_ij|) -----------
-      val reBySlot: Map[Int, Map[String, Double]] =
-        if (!cfg.computeReal) Map.empty
-        else realError(spec, wide)
-
-      val slots = exprBySlot.keySet ++ meBySlot.keySet ++ reBySlot.keySet
-      slots.map { s =>
-        s -> SlotEval(
-          s,
-          exprBySlot.getOrElse(s, 0.0),
-          cfg.models.map(mt => mt.name -> meBySlot.getOrElse(s, Map.empty).getOrElse(mt.name, 0.0)).toMap,
-          cfg.models.map(mt => mt.name -> reBySlot.getOrElse(s, Map.empty).getOrElse(mt.name, 0.0)).toMap,
-        )
-      }.toMap.withDefault(zero)
-    } finally wide.unpersist()
+    val exprErr = ExpressionError.totalPerSlot(alpha, spec)
+    val firstDay = math.max(0, (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max)
+    (0 until CityConfig.Slots).map { s =>
+      val mgrid = (firstDay to cfg.testDay).map(d => cube.blockSums(spec, d, s))
+      val counts: Int => Array[Long] = d => mgrid(d - firstDay)
+      // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
+      val modelErr = cfg.models.map { mt =>
+        mt.name -> cfg.valDays.map { d =>
+          val pred = haPredict(spec, counts, mt.k, d)
+          val act = counts(d)
+          var e = 0.0
+          var i = 0
+          while (i < spec.n) { e += math.abs(pred(i) - act(i)); i += 1 }
+          e
+        }.sum / cfg.valDays.size
+      }.toMap
+      val realErr = cfg.models.map { mt =>
+        mt.name -> (if (!cfg.computeReal) 0.0
+          else testDayRealErr(spec, s, haPredict(spec, counts, mt.k, cfg.testDay)))
+      }.toMap
+      s -> SlotEval(s, exprErr(s), modelErr, realErr)
+    }.toMap
   }
 
-  /** Small per-MGrid dimension table: (mcx, mcy, m). */
-  private def mDf(spec: GridSpec): DataFrame = {
-    import spark.implicits._
-    (for (i <- 0 until spec.nSide; j <- 0 until spec.nSide)
-      yield (i, j, spec.cellsPerM(i * spec.nSide + j))).toDF("mcx", "mcy", "m")
-  }
-
-  private def realError(
-      spec: GridSpec,
-      wide: DataFrame): Map[Int, Map[String, Double]] = {
-    val nSide = spec.nSide
-    val hSide = spec.hSide
-    val testDay = cfg.testDay
-    val predTest = wide
-      .select(
-        (col("slot") +: col("cx").as("mcx") +: col("cy").as("mcy") +:
-          cfg.models.map(mt => col(predCol(mt, testDay)).as(mt.name))): _*)
-      .join(mDf(spec), Seq("mcx", "mcy"))
-    val hTest = counts
-      .where(col("day") === testDay)
-      .select(
-        col("slot"),
-        least(lit(nSide - 1), (col("cx") * nSide / hSide).cast("int")).as("mcx"),
-        least(lit(nSide - 1), (col("cy") * nSide / hSide).cast("int")).as("mcy"),
-        col("cnt"))
-    // per present HGrid: |λ̂_i/m_i − λ_ij|; count present HGrids per MGrid
-    // m is null when the HGrid's MGrid has no prediction row; the predicted
-    // share is 0 then, so any positive divisor keeps the |0 − cnt| term.
-    val p1Cols: Seq[Column] = cfg.models.map(mt =>
-      sum(abs(coalesce(col(mt.name), lit(0.0)) / coalesce(col("m"), lit(1)) - col("cnt")))
-        .as(s"p1_${mt.name}"))
-    val part1 = hTest
-      .join(predTest, Seq("slot", "mcx", "mcy"), "left")
-      .groupBy(col("slot"), col("mcx"), col("mcy"))
-      .agg(p1Cols.head, (p1Cols.tail :+ count(lit(1)).as("present")): _*)
-    // absent HGrids of each predicted MGrid contribute λ̂_i/m_i each
-    val reCols: Seq[Column] = cfg.models.map { mt =>
-      sum(
-        coalesce(col(s"p1_${mt.name}"), lit(0.0)) +
-          (coalesce(col("m"), lit(1)) - coalesce(col("present"), lit(0L))) *
-          coalesce(col(mt.name), lit(0.0)) / coalesce(col("m"), lit(1))
-      ).as(s"re_${mt.name}")
+  /** HA(k) prediction of day `d` per MGrid: the mean of days d−k … d−1
+    * (days before 0 count as empty).
+    */
+  private def haPredict(spec: GridSpec, counts: Int => Array[Long], k: Int, d: Int): Array[Double] = {
+    val sum = new Array[Long](spec.n)
+    for (day <- math.max(0, d - k) until d) {
+      val c = counts(day)
+      var i = 0
+      while (i < sum.length) { sum(i) += c(i); i += 1 }
     }
-    part1
-      .join(predTest, Seq("slot", "mcx", "mcy"), "full_outer")
-      .groupBy(col("slot"))
-      .agg(reCols.head, reCols.tail: _*)
-      .collect()
-      .map { r =>
-        r.getInt(0) -> cfg.models.map(mt => mt.name -> r.getAs[Double](s"re_${mt.name}")).toMap
-      }
-      .toMap
+    sum.map(_.toDouble / k)
+  }
+
+  /** Test-day real error of one slot, Σ_ij |λ̂_i/m_i − λ_ij| over every
+    * HGrid, empty ones included.
+    */
+  private def testDayRealErr(spec: GridSpec, slot: Int, pred: Array[Double]): Double = {
+    val m = spec.cellsPerM
+    var e = 0.0
+    for (hx <- 0 until spec.hSide; hy <- 0 until spec.hSide) {
+      val i = spec.mgridId(hx, hy)
+      e += math.abs(pred(i) / m(i) - cube(cfg.testDay, slot, spec.hgridId(hx, hy)))
+    }
+    e
   }
 
   /** Test-day HA(k) predictions per slot as a dense per-MGrid array
     * (index = mcx·nSide + mcy) — the dispatch simulator's demand signal.
     */
   def testPredictions(nSide: Int, model: ModelTier): Map[Int, Array[Double]] = {
-    val d = cfg.testDay
-    denseBySlot(
-      GridCounts
-        .rollupTo(counts, cfg.nTargetSide, nSide)
-        .where(col("day").between(d - model.k, d - 1))
-        .groupBy(col("slot"), col("cx"), col("cy"))
-        .agg((sum(col("cnt")) / model.k).as("v")),
-      nSide)
+    val spec = GridSpec(nSide, cfg.nTargetSide)
+    bySlot(s => haPredict(spec, d => cube.blockSums(spec, d, s), model.k, cfg.testDay))
   }
 
   /** Test-day *actual* per-MGrid counts — the paper's "using real order
     * data" dispatch variant (model error zero by construction).
     */
   def testActuals(nSide: Int): Map[Int, Array[Double]] = {
-    denseBySlot(
-      GridCounts
-        .rollupTo(counts, cfg.nTargetSide, nSide)
-        .where(col("day") === cfg.testDay)
-        .select(col("slot"), col("cx"), col("cy"), col("cnt").cast("double").as("v")),
-      nSide)
+    val spec = GridSpec(nSide, cfg.nTargetSide)
+    bySlot(s => cube.blockSums(spec, cfg.testDay, s).map(_.toDouble))
   }
 
-  private def denseBySlot(df: DataFrame, nSide: Int): Map[Int, Array[Double]] =
-    df.collect()
-      .groupBy(_.getInt(0))
-      .map { case (slot, rows) =>
-        val arr = new Array[Double](nSide * nSide)
-        rows.foreach(r => arr(r.getInt(1) * nSide + r.getInt(2)) = r.getDouble(3))
-        slot -> arr
-      }
+  private def bySlot(f: Int => Array[Double]): Map[Int, Array[Double]] =
+    (0 until CityConfig.Slots).map(s => s -> f(s)).toMap
 }

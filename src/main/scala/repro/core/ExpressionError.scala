@@ -1,7 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, least, lit, sum}
+import org.apache.spark.sql.functions.col
+
+import java.util.stream.IntStream
+import scala.collection.mutable
 
 /** Expression error of a HGrid (paper §III-B).
   *
@@ -166,44 +169,70 @@ object ExpressionError {
   /** Total expression error of one MGrid with present-HGrid means
     * `alphas` (absent HGrids are implicit zeros): Σ_j E_e(α_j, A−α_j, m)
     * plus the exact A/m term for each of the (m − |alphas|) empty HGrids.
+    * Within one MGrid E_e depends on α_j alone (A and m are shared), and
+    * α = count / days takes few distinct values, so each is computed once.
     */
   def mgridTotal(alphas: Array[Double], m: Int): Double = {
     require(alphas.length <= m, s"${alphas.length} HGrid means for m=$m")
     val total = alphas.sum
+    val byAlpha = mutable.HashMap.empty[Double, Double]
     var e = 0.0
     var j = 0
     while (j < alphas.length) {
-      e += auto(alphas(j), total - alphas(j), m)
+      val a = alphas(j)
+      e += byAlpha.getOrElseUpdate(a, auto(a, total - a, m))
       j += 1
     }
     e + (m - alphas.length) * (if (m == 1) 0.0 else total / m)
   }
 
-  /** Distributed per-slot totals: Σ_i Σ_j E_e(i,j) for every time slot.
-    *
-    * @param alphaDf (slot, cx, cy, alpha) at the `spec.hSide` lattice,
-    *                sparse (zero-α cells absent)
-    * @return DataFrame (slot, exprErr)
+  /** Per-slot totals Σ_i Σ_j E_e(i,j): `alpha(s)` is slot s's dense α
+    * surface on the `spec.hSide` lattice (index cx·hSide + cy), where 0
+    * means an empty HGrid. Slots run in parallel on the JDK's common pool.
+    */
+  def totalPerSlot(alpha: Array[Array[Double]], spec: GridSpec): Array[Double] = {
+    val mOf = Array.tabulate(spec.hSide)(spec.mOfH)
+    val cellsPerM = spec.cellsPerM
+    val out = new Array[Double](alpha.length)
+    IntStream.range(0, alpha.length).parallel().forEach { s =>
+      val a = alpha(s)
+      require(a.length == spec.totalHGrids,
+        s"slot $s has ${a.length} α values for ${spec.totalHGrids} HGrids")
+      val present = Array.fill(spec.n)(new mutable.ArrayBuilder.ofDouble)
+      for (hx <- 0 until spec.hSide; hy <- 0 until spec.hSide) {
+        val v = a(hx * spec.hSide + hy)
+        if (v != 0.0) present(mOf(hx) * spec.nSide + mOf(hy)) += v
+      }
+      var e = 0.0
+      var i = 0
+      while (i < spec.n) { e += mgridTotal(present(i).result(), cellsPerM(i)); i += 1 }
+      out(s) = e
+    }
+    out
+  }
+
+  /** [[totalPerSlot]] over a sparse (slot, cx, cy, alpha) DataFrame: one row
+    * (slot, exprErr) per slot that has α rows.
     */
   def totalPerSlot(spark: SparkSession, alphaDf: DataFrame, spec: GridSpec): DataFrame = {
     import spark.implicits._
-    val nSide = spec.nSide
-    val hSide = spec.hSide
-    val cellsPerM = spec.cellsPerM // small array, shipped in the closure
-    val mcx = least(lit(nSide - 1), (col("cx") * nSide / hSide).cast("int"))
-    val mcy = least(lit(nSide - 1), (col("cy") * nSide / hSide).cast("int"))
-    alphaDf
-      .select(
-        col("slot").cast("int"),
-        (mcx * nSide + mcy).cast("int").as("mgrid"),
-        col("alpha").cast("double"))
-      .as[(Int, Int, Double)]
-      .groupByKey(r => (r._1, r._2))
-      .mapGroups((key: (Int, Int), rows: Iterator[(Int, Int, Double)]) =>
-        (key._1, mgridTotal(rows.map(_._3).toArray, cellsPerM(key._2))))
-      .toDF("slot", "ee")
-      .groupBy(col("slot"))
-      .agg(sum(col("ee")).as("exprErr"))
+    val bySlot = alphaDf
+      .select(col("slot").cast("int"), col("cx").cast("int"), col("cy").cast("int"), col("alpha").cast("double"))
+      .as[(Int, Int, Int, Double)]
+      .collect()
+      .groupBy(_._1)
+      .toSeq
+      .sortBy(_._1)
+    val dense = bySlot.map { case (_, rows) =>
+      val a = new Array[Double](spec.totalHGrids)
+      rows.foreach { case (s, cx, cy, v) =>
+        require(cx >= 0 && cx < spec.hSide && cy >= 0 && cy < spec.hSide,
+          s"α row of slot $s at cell ($cx, $cy), outside the ${spec.hSide}² lattice")
+        a(spec.hgridId(cx, cy)) = v
+      }
+      a
+    }
+    bySlot.map(_._1).zip(totalPerSlot(dense.toArray, spec)).toDF("slot", "exprErr")
   }
 
   /** Lemma III.1 upper bound on the truncated double sum:

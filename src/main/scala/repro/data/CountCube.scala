@@ -1,0 +1,94 @@
+package repro.data
+
+import org.apache.spark.sql.DataFrame
+import repro.core.GridSpec
+
+/** One city's per-(day, slot, HGrid) event counts as a dense driver-side
+  * array: the n-independent input of every grid-size evaluation.
+  *
+  * Spark counts the events once ([[GridCounts.at]]); everything that
+  * depends on the grid size (MGrid block sums, HA(k) predictions, the
+  * three errors) is plain array arithmetic over this cube. At 35 days ×
+  * 48 slots × 64² HGrids it holds 6.9 M counts (≈ 27 MB).
+  *
+  * @param side HGrid lattice side √N; a cell's index is cx·side + cy
+  * @param days the cube covers days 0 until `days`
+  */
+final class CountCube private (val side: Int, val days: Int, counts: Array[Int]) {
+
+  val cells: Int = side * side
+
+  private def offset(day: Int, slot: Int): Int = (day * CityConfig.Slots + slot) * cells
+
+  /** Events of `day` and `slot` in HGrid `cell`. */
+  def apply(day: Int, slot: Int, cell: Int): Int = counts(offset(day, slot) + cell)
+
+  /** α_ij of every slot and HGrid (`alpha(slot)(cell)`): the count summed
+    * over days [dayFrom, dayUntil), then ÷ the number of days, the same
+    * arithmetic as [[GridCounts.alpha]].
+    */
+  def alpha(dayFrom: Int, dayUntil: Int): Array[Array[Double]] = {
+    require(dayFrom >= 0 && dayUntil <= days && dayUntil > dayFrom,
+      s"train window [$dayFrom, $dayUntil) is empty or outside days 0 until $days")
+    val nDays = (dayUntil - dayFrom).toDouble
+    Array.tabulate(CityConfig.Slots) { s =>
+      val sum = new Array[Long](cells)
+      for (d <- dayFrom until dayUntil) {
+        val o = offset(d, s)
+        var c = 0
+        while (c < cells) { sum(c) += counts(o + c); c += 1 }
+      }
+      sum.map(_ / nDays)
+    }
+  }
+
+  /** MGrid counts λ_i = Σ_j λ_ij of one (day, slot): straight sums over
+    * each MGrid's block of HGrids, indexed mx·nSide + my.
+    */
+  def blockSums(spec: GridSpec, day: Int, slot: Int): Array[Long] = {
+    require(spec.hSide == side, s"GridSpec on a ${spec.hSide}² HGrid lattice, the cube's is $side²")
+    val mOf = Array.tabulate(side)(spec.mOfH)
+    val out = new Array[Long](spec.n)
+    val o = offset(day, slot)
+    var hx = 0
+    while (hx < side) {
+      val row = mOf(hx) * spec.nSide
+      var hy = 0
+      while (hy < side) { out(row + mOf(hy)) += counts(o + hx * side + hy); hy += 1 }
+      hx += 1
+    }
+    out
+  }
+}
+
+object CountCube {
+
+  /** Counts `events` once at lattice `side` and collects them. */
+  def apply(events: DataFrame, side: Int, days: Int): CountCube = {
+    import events.sparkSession.implicits._
+    fromRows(side, days,
+      GridCounts.at(events, side)
+        .select("day", "slot", "cx", "cy", "cnt")
+        .as[(Int, Int, Int, Int, Long)]
+        .collect())
+  }
+
+  /** A cube from sparse (day, slot, cx, cy, cnt) rows; absent cells are 0.
+    * A row outside the cube is an error, not a dropped count.
+    */
+  def fromRows(side: Int, days: Int, rows: Iterable[(Int, Int, Int, Int, Long)]): CountCube = {
+    require(side >= 1 && days >= 1, s"empty cube: side $side, $days days")
+    val counts = new Array[Int](days * CityConfig.Slots * side * side)
+    val cube = new CountCube(side, days, counts)
+    rows.foreach { case (d, s, cx, cy, cnt) =>
+      require(d >= 0 && d < days, s"count row on day $d, outside the cube's days 0 until $days")
+      require(s >= 0 && s < CityConfig.Slots,
+        s"count row in slot $s, outside slots 0 until ${CityConfig.Slots}")
+      require(cx >= 0 && cx < side && cy >= 0 && cy < side,
+        s"count row at cell ($cx, $cy), outside the $side² lattice")
+      require(cnt >= 0 && cnt <= Int.MaxValue, s"count $cnt at day $d, slot $s, cell ($cx, $cy)")
+      counts(cube.offset(d, s) + cx * side + cy) += cnt.toInt
+    }
+    cube
+  }
+}

@@ -3,16 +3,16 @@ package repro.data
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** Lattice counting and roll-up operations over event DataFrames.
+/** Lattice counting over event DataFrames.
   *
   * All schemas:
   *  - events: (day, slot, x, y, km, fare) with x, y ∈ [0,1)
   *  - counts: (day, slot, cx, cy, cnt) at a given lattice side
   *  - alpha:  (slot, cx, cy, alpha)
   *
-  * Cells with zero events are *absent* (sparse representation); consumers
-  * account for the implied zeros (see ExpressionError.totalPerSlot and
-  * Evaluator) instead of densifying.
+  * Cells with zero events are *absent* (sparse representation). The
+  * grid-size evaluations do not read these DataFrames: [[CountCube]]
+  * collects `at` once into a dense array, where absent cells are zeros.
   */
 object GridCounts {
 
@@ -28,20 +28,6 @@ object GridCounts {
         cellIdx(col("x"), side).as("cx"),
         cellIdx(col("y"), side).as("cy"))
       .agg(count(lit(1)).cast("long").as("cnt"))
-
-  /** Roll counts up from a `fromSide` lattice to a coarser `toSide` one by
-    * spatial blocks (GridSpec's mapping `c·toSide/fromSide`) — MGrid
-    * counts from HGrid counts for any toSide ≤ fromSide, dividing or not.
-    */
-  def rollupTo(counts: DataFrame, fromSide: Int, toSide: Int): DataFrame = {
-    require(toSide >= 1 && toSide <= fromSide, s"rollup $fromSide → $toSide")
-    counts
-      .groupBy(
-        col("day"), col("slot"),
-        least(lit(toSide - 1), (col("cx") * toSide / fromSide).cast("int")).as("cx"),
-        least(lit(toSide - 1), (col("cy") * toSide / fromSide).cast("int")).as("cy"))
-      .agg(sum(col("cnt")).as("cnt"))
-  }
 
   /** α_ij estimate: mean per-(slot, cell) count over days
     * [dayFrom, dayUntil) — the paper's "same time slot over the previous

@@ -1,7 +1,7 @@
 package repro
 
 import repro.core.{Evaluator, EvalConfig, Search}
-import repro.data.{CityConfig, EventGen}
+import repro.data.{CityConfig, CountCube, EventGen}
 import repro.dispatch.Algorithms
 import repro.model.ModelTier
 
@@ -14,7 +14,7 @@ class OGSSIntegrationSpec extends SparkSpec {
   private lazy val events = EventGen.eventsDf(spark, toy).cache()
   private val tiers = Seq(ModelTier("lastday", 1), ModelTier("ha8", 8))
 
-  private lazy val ev = new Evaluator(spark, events,
+  private lazy val ev = new Evaluator(CountCube(events, 16, toy.days),
     EvalConfig(nTargetSide = 16, models = tiers, testDay = 11,
       valDays = Seq(9, 10), trainWindow = 8))
 

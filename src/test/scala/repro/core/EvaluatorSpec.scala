@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.data.{CityConfig, EventGen, GridCounts}
+import repro.data.{CityConfig, CountCube, EventGen, GridCounts}
 import repro.model.ModelTier
 
 /** Integration tests of the Algorithm-3 evaluator on the toy city. */
@@ -10,12 +10,15 @@ class EvaluatorSpec extends SparkSpec {
 
   private lazy val toy = CityConfig.toy // 12 days, 600 orders/day, genSide 16
   private lazy val events = EventGen.eventsDf(spark, toy).cache()
+  private lazy val cube = CountCube(events, 16, toy.days)
+  /** HGrid counts as the SQL references' input table. */
+  private lazy val hCounts = GridCounts.at(events, 16)
 
   private val tiers =
     Seq(ModelTier("lastday", 1), ModelTier("ha3", 3), ModelTier("ha8", 8))
 
   private def mkEval(computeReal: Boolean = true) =
-    new Evaluator(spark, events,
+    new Evaluator(cube,
       EvalConfig(nTargetSide = 16, models = tiers, testDay = 11,
         valDays = Seq(9, 10), trainWindow = 8, computeReal = computeReal))
 
@@ -97,14 +100,20 @@ class EvaluatorSpec extends SparkSpec {
   }
 
   test("Eq. 20: per-slot model error equals Σ_i mean_d |λ̂_i − λ_i| (DuckDB)") {
-    // independent re-computation of the ha3 model error at nSide=4 via SQL
-    val m = GridCounts.rollupTo(GridCounts.at(events, 16), 16, 4)
+    // independent re-computation of the ha3 model error at nSide=4 via SQL,
+    // rolling the HGrid counts up to MGrids inside the query
     val got = spark.createDataFrame(
       e4.toSeq.sortBy(_._1).map { case (s, r) => (s, r.modelErr("ha3")) })
       .toDF("slot", "me")
     Oracle.assertEquivalent(
       got,
-      """WITH grid AS (
+      """WITH m AS (
+        |  SELECT CAST(day AS INT) AS day, CAST(slot AS INT) AS slot,
+        |    CAST(FLOOR(CAST(cx AS INT) * 4 / 16) AS INT) AS cx,
+        |    CAST(FLOOR(CAST(cy AS INT) * 4 / 16) AS INT) AS cy,
+        |    SUM(CAST(cnt AS DOUBLE)) AS cnt
+        |  FROM h GROUP BY 1, 2, 3, 4
+        |), grid AS (
         |  SELECT DISTINCT slot, cx, cy FROM m
         |), days(d) AS (VALUES (9), (10)),
         |cells AS (
@@ -122,7 +131,63 @@ class EvaluatorSpec extends SparkSpec {
         |)
         |SELECT CAST(slot AS INT) AS slot, SUM(ABS(pred - act)) / 2.0 AS me
         |FROM vals GROUP BY 1""".stripMargin,
-      "m" -> m)
+      "h" -> hCounts)
+  }
+
+  test("real error equals Σ_ij |λ̂_i/m_i − λ_ij| over every HGrid (DuckDB)") {
+    // The SQL enumerates the whole 16² lattice, so an HGrid with no test-day
+    // events is charged λ̂_i/m_i, and m_i is counted from the lattice.
+    for (n <- Seq(4, 3)) {
+      val r = ev(n)
+      val got = spark.createDataFrame(r.toSeq.sortBy(_._1).map { case (s, e) =>
+        (s, e.realErr("lastday"), e.realErr("ha3"), e.realErr("ha8"))
+      }).toDF("slot", "re_lastday", "re_ha3", "re_ha8")
+      val predCols = tiers.map(t =>
+        s"SUM(CASE WHEN h.day BETWEEN ${11 - t.k} AND 10 THEN h.cnt ELSE 0 END) / ${t.k}.0 AS p_${t.name}")
+      val reCols = tiers.map(t =>
+        s"SUM(ABS(COALESCE(p.p_${t.name}, 0) / m.m - COALESCE(t.cnt, 0))) AS re_${t.name}")
+      Oracle.assertEquivalent(
+        got,
+        s"""WITH h AS (
+           |  SELECT CAST(day AS INT) AS day, CAST(slot AS INT) AS slot, CAST(cx AS INT) AS cx,
+           |    CAST(cy AS INT) AS cy, CAST(cnt AS DOUBLE) AS cnt FROM counts
+           |), lattice AS (
+           |  SELECT CAST(s.slot AS INT) AS slot, CAST(a.cx AS INT) AS cx, CAST(b.cy AS INT) AS cy,
+           |    CAST(FLOOR(a.cx * $n / 16) AS INT) AS mx, CAST(FLOOR(b.cy * $n / 16) AS INT) AS my
+           |  FROM range(48) s(slot), range(16) a(cx), range(16) b(cy)
+           |), m AS (
+           |  SELECT mx, my, COUNT(*) AS m FROM lattice WHERE slot = 0 GROUP BY 1, 2
+           |), pred AS (
+           |  SELECT l.slot, l.mx, l.my, ${predCols.mkString(", ")}
+           |  FROM lattice l JOIN h ON h.slot = l.slot AND h.cx = l.cx AND h.cy = l.cy
+           |  GROUP BY 1, 2, 3
+           |), t AS (
+           |  SELECT slot, cx, cy, cnt FROM h WHERE day = 11
+           |)
+           |SELECT l.slot AS slot, ${reCols.mkString(", ")}
+           |FROM lattice l
+           |JOIN m ON m.mx = l.mx AND m.my = l.my
+           |LEFT JOIN pred p ON p.slot = l.slot AND p.mx = l.mx AND p.my = l.my
+           |LEFT JOIN t ON t.slot = l.slot AND t.cx = l.cx AND t.cy = l.cy
+           |GROUP BY 1""".stripMargin,
+        "counts" -> hCounts)
+    }
+  }
+
+  test("every evaluation covers exactly slots 0 until 48, and no other slot reads as 0") {
+    assert(e4.keySet == (0 until 48).toSet)
+    assertThrows[NoSuchElementException](ev(4)(48))
+  }
+
+  test("the evaluator rejects a config that does not fit its count cube") {
+    val side = intercept[IllegalArgumentException] {
+      new Evaluator(cube, EvalConfig(8, tiers, testDay = 11, valDays = Seq(9, 10), trainWindow = 8))
+    }
+    assert(side.getMessage.contains("nTargetSide 8"), side.getMessage)
+    val day = intercept[IllegalArgumentException] {
+      new Evaluator(cube, EvalConfig(16, tiers, testDay = 12, valDays = Seq(9, 10), trainWindow = 8))
+    }
+    assert(day.getMessage.contains("testDay 12"), day.getMessage)
   }
 
   test("testPredictions: dense arrays with the right shape and mass") {
@@ -137,11 +202,11 @@ class EvaluatorSpec extends SparkSpec {
 
   test("testActuals matches the test-day counts") {
     val act = ev.testActuals(4)
-    val direct = GridCounts
-      .rollupTo(GridCounts.at(events, 16), 16, 4)
-      .where(col("day") === 11)
-      .agg(sum("cnt")).head.getLong(0)
-    assert(math.abs(act.values.map(_.sum).sum - direct) < 1e-9)
+    val direct = GridCounts.at(events, 4).where(col("day") === 11)
+      .select("slot", "cx", "cy", "cnt").collect()
+      .map(r => (r.getInt(0), r.getInt(1) * 4 + r.getInt(2)) -> r.getLong(3).toDouble).toMap
+    for (s <- 0 until 48; i <- 0 until 16)
+      assert(act(s)(i) == direct.getOrElse((s, i), 0.0), s"slot $s MGrid $i")
   }
 
   test("EvalConfig validation") {

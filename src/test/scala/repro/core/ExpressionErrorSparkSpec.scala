@@ -2,7 +2,9 @@ package repro.core
 
 import repro.SparkSpec
 
-/** Distributed expression-error totals vs a driver-side reference. */
+/** The DataFrame adapter of the expression-error totals vs a driver-side
+  * reference.
+  */
 class ExpressionErrorSparkSpec extends SparkSpec {
   import spark.implicits._
 

@@ -180,6 +180,15 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     assert(math.abs(viaSparse - viaDense) < 1e-9)
   }
 
+  test("mgridTotal with repeated α equals the term-by-term sum bit for bit") {
+    val m = 64
+    val alphas = Array.tabulate(40)(j => (j % 5 + 1) / 28.0)
+    val total = alphas.sum
+    var direct = 0.0
+    alphas.foreach(a => direct += auto(a, total - a, m))
+    assert(mgridTotal(alphas, m) == direct + (m - alphas.length) * total / m)
+  }
+
   test("mgridTotal on an empty MGrid is zero") {
     assert(mgridTotal(Array.empty[Double], 4) == 0.0)
     assert(mgridTotal(Array(0.0, 0.0), 4) == 0.0)

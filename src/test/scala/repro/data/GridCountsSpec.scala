@@ -29,38 +29,6 @@ class GridCountsSpec extends SparkSpec {
     assert(total == ev.count())
   }
 
-  test("rollupTo(): MGrid counts are HGrid sums (λ_i = Σ_j λ_ij, Def. 2)") {
-    val h = GridCounts.at(ev, 8)
-    val got = GridCounts.rollupTo(h, 8, 4)
-    Oracle.assertEquivalent(
-      got,
-      """SELECT day, slot,
-        |  CAST(FLOOR(CAST(cx AS INT) / 2) AS INT) AS cx,
-        |  CAST(FLOOR(CAST(cy AS INT) / 2) AS INT) AS cy,
-        |  SUM(CAST(cnt AS BIGINT)) AS cnt
-        |FROM h GROUP BY 1, 2, 3, 4""".stripMargin,
-      "h" -> h)
-  }
-
-  test("rollupTo() equals counting directly at the coarse lattice") {
-    val viaRollup = GridCounts.rollupTo(GridCounts.at(ev, 16), 16, 4)
-    val direct = GridCounts.at(ev, 4)
-    assert(viaRollup.except(direct).isEmpty && direct.except(viaRollup).isEmpty)
-  }
-
-  test("rollupTo() with a non-dividing target preserves totals and bounds") {
-    val rolled = GridCounts.rollupTo(GridCounts.at(ev, 16), 16, 3)
-    val r = rolled.agg(sum("cnt"), max("cx"), max("cy"), min("cx")).head
-    assert(r.getLong(0) == ev.count())
-    assert(r.getInt(1) <= 2 && r.getInt(2) <= 2 && r.getInt(3) >= 0)
-  }
-
-  test("rollupTo() rejects refinement (toSide > fromSide)") {
-    assertThrows[IllegalArgumentException] {
-      GridCounts.rollupTo(GridCounts.at(ev, 4), 4, 8)
-    }
-  }
-
   test("alpha(): windowed mean matches DuckDB") {
     val counts = GridCounts.at(ev, 8)
     val got = GridCounts.alpha(counts, 0, 2)
