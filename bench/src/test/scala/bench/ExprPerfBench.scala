@@ -1,11 +1,14 @@
 package bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.ExpressionError
+import repro.core.{ExpressionError, GridSpec, Rng}
+import repro.data.CityConfig
+import repro.exp.Experiments
 
 /** Appendix D (Fig. 16): cost of computing one HGrid's expression error as
   * K grows — straightforward double sum (Alg. 1, O(mK²)) vs the fast
-  * prefix-sum variant (Alg. 2, O(mK)) vs the windowed production kernel.
+  * prefix-sum variant (Alg. 2, O(mK)) vs the windowed production kernel —
+  * and of the production per-slot totals over a whole city.
   */
 class ExprPerfBench extends AnyFunSuite {
 
@@ -38,6 +41,33 @@ class ExprPerfBench extends AnyFunSuite {
       println(f"EXPRPERF | $k%3d | $tn%10.3f | $tf%10.3f | $ta%10.3f | $err%.2e")
     }
     rows
+  }
+
+  /** Xi'an's α surface without Spark: each cell's 28-day count is one
+    * Pois(28·μ) draw (a sum of daily Poisson counts), divided by 28.
+    */
+  private lazy val xianAlpha: Array[Array[Double]] = {
+    val city = CityConfig.xian
+    val days = Experiments.TrainWindow
+    Array.tabulate(CityConfig.Slots, city.genSide * city.genSide) { (s, c) =>
+      Rng.poisson(days * city.mu(s, c), Rng.key(city.seed, s, c)) / days.toDouble
+    }
+  }
+
+  private lazy val cityRows: Seq[(Int, Double, Double)] = {
+    val rows = Seq(1, 16).map { nSide =>
+      val spec = GridSpec(nSide, CityConfig.xian.genSide)
+      val (totals, ms) = med(ExpressionError.totalPerSlot(xianAlpha, spec).sum)
+      (nSide, ms, totals)
+    }
+    println("EXPRPERF | xian alpha surface, 48 slots | nSide | totalPerSlot (ms) | sum of expression error")
+    rows.foreach { case (n, ms, e) => println(f"EXPRPERF | totalPerSlot | $n%3d | $ms%10.3f | $e%.6e") }
+    rows
+  }
+
+  test("whole-city totalPerSlot: expression error falls from n = 1 to n = 16") {
+    val Seq((_, _, e1), (_, _, e16)) = cityRows
+    assert(e1.isFinite && e16 > 0.0 && e16 < e1, s"n=1: $e1, n=16: $e16")
   }
 
   test("Alg. 2 is asymptotically cheaper than Alg. 1 (paper Fig. 16)") {

@@ -6,8 +6,10 @@ import repro.exp.Experiments
 
 /** Table III — "Promotion of the prediction-based algorithms": POLAR, LS
   * and DAIF on NYC with the DeepST-tier model, at the papers' default grid
-  * sizes vs GridTuner's optimum (Iterative Method on the day-aggregate
-  * upper bound).
+  * sizes vs the grid size the Iterative Method finds for each algorithm's
+  * own metric (served orders, revenue or unified cost, simulated at every
+  * visited n). The printed optimal nSide is the upper-bound optimum
+  * (Iterative Method on the day-aggregate e(√n)), reported beside the rows.
   *
   * Paper reference values (DeepST, NYC):
   *   POLAR Served Order Number  16² → 50²  +13.6 %

@@ -3,8 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 
+import java.util.concurrent.ConcurrentHashMap
 import java.util.stream.IntStream
-import scala.collection.mutable
 
 /** Expression error of a HGrid (paper §III-B).
   *
@@ -19,10 +19,12 @@ import scala.collection.mutable
   *  - [[fast]]   — paper Algorithm 2, O(mK), via incremental prefix sums
   *                 of the Pois(b) mass (Eq. 16–19);
   *  - [[auto]]   — production variant: same prefix-sum scheme but
-  *                 iterating only the ±12σ windows of both Poissons, with
-  *                 log-space pmf evaluation. A literal double-precision
-  *                 Alg. 1/2 computes e^{−b} = 0 for b ≳ 745 (a busy MGrid
-  *                 at small n) and silently returns 0; [[auto]] does not.
+  *                 iterating only the ±12σ windows of both Poissons, each
+  *                 pmf seeded once in log space at its mode and filled
+  *                 outward by the ratio recurrence. A literal
+  *                 double-precision Alg. 1/2 starts at e^{−b}, which is 0
+  *                 for b ≳ 745 (a busy MGrid at small n), and silently
+  *                 returns 0; [[auto]] does not.
   */
 object ExpressionError {
 
@@ -45,9 +47,39 @@ object ExpressionError {
     }
   }
 
-  /** log Pois(mu) pmf at k. */
+  /** log Pois(mu) pmf at k. For k > 15 this is Loader's saddle-point form
+    * −stirlerr(k) − bd0(k, mu) − ½·log(2πk), whose terms stay O(1) near the
+    * mode; the direct −mu + k·log mu − lgamma(k+1) cancels terms of size
+    * mu and loses ~1e-11 relative at mu = 1e4.
+    */
   def logPoisPmf(mu: Double, k: Long): Double =
-    -mu + k * math.log(mu) - lgamma(k + 1.0)
+    if (k <= 15) -mu + k * math.log(mu) - lgamma(k + 1.0)
+    else -stirlerr(k) - bd0(k.toDouble, mu) - 0.5 * math.log(2 * math.Pi * k)
+
+  /** log k! − ((k+½)·log k − k + ½·log 2π) for k > 15: Stirling's series. */
+  private def stirlerr(k: Long): Double = {
+    val kk = k.toDouble * k
+    (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680 - 1.0 / (1188 * kk)) / kk) / kk) / kk) / k
+  }
+
+  /** x·log(x/mu) + mu − x, by its series in v = (x−mu)/(x+mu) when x ≈ mu. */
+  private def bd0(x: Double, mu: Double): Double =
+    if (math.abs(x - mu) < 0.1 * (x + mu)) {
+      val v = (x - mu) / (x + mu)
+      val v2 = v * v
+      var s = (x - mu) * v
+      var ej = 2 * x * v
+      var j = 1
+      var done = false
+      while (!done) {
+        ej *= v2
+        val s1 = s + ej / (2 * j + 1)
+        done = s1 == s
+        s = s1
+        j += 1
+      }
+      s
+    } else x * math.log(x / mu) + mu - x
 
   /** Algorithm 1 (verbatim intent): double sum truncated at k_h ≤ K,
     * k_m ≤ (m−1)K, pmfs by the O(1) recurrence of Eq. 14.
@@ -117,95 +149,136 @@ object ExpressionError {
     e / m
   }
 
-  private final val Z = 12.0 // window half-width in σ, tail mass < 1e-30
+  // window half-width in σ; the mass left outside is ≤ 1.5e-27 (measured
+  // over mu ∈ [1e-4, 2e5], largest near mu ≈ 11)
+  private final val Z = 12.0
+
+  /** First point of Pois(mu)'s ±Zσ mass window. */
+  private[core] def windowLo(mu: Double): Long =
+    math.max(0L, math.floor(mu - Z * math.sqrt(mu + 1) - 10).toLong)
+
+  /** Pois(mu) pmf over [windowLo(mu), mu + Z·√(mu+1) + 10] (just k = 0 when
+    * mu = 0): one exp(logPoisPmf) at the mode, then the ratio recurrence
+    * p(k+1) = p(k)·mu/(k+1) upward and p(k−1) = p(k)·k/mu downward. Seeding
+    * at the mode rather than at e^{−mu} keeps mu > 745 from underflowing.
+    */
+  private[core] def poisWindow(mu: Double): Array[Double] = {
+    if (mu == 0.0) return Array(1.0)
+    val lo = windowLo(mu)
+    val p = new Array[Double]((math.ceil(mu + Z * math.sqrt(mu + 1) + 10).toLong - lo + 1).toInt)
+    val mode = (math.floor(mu).toLong - lo).toInt
+    p(mode) = math.exp(logPoisPmf(mu, lo + mode))
+    var i = mode
+    while (i + 1 < p.length) { p(i + 1) = p(i) * mu / (lo + i + 1); i += 1 }
+    i = mode
+    while (i > 0) { p(i - 1) = p(i) * (lo + i) / mu; i -= 1 }
+    p
+  }
 
   /** Production expression error: Alg. 2's scheme over the mass windows of
-    * both Poissons, pmfs in log space. Truncation error < 1e-12 relative.
+    * both Poissons, each pmf filled by [[poisWindow]]'s recurrence from its
+    * mode. Truncation error < 1e-12 relative.
     */
   def auto(a: Double, b: Double, m: Int): Double = {
     require(m >= 1 && a >= 0 && b >= 0)
     if (m == 1) return 0.0
     if (a == 0.0) return b / m // exact: E|Y/m| = b/m for empty HGrid
-    val aHi = math.ceil(a + Z * math.sqrt(a + 1) + 10).toLong
-    val bLo = if (b == 0.0) 0L else math.max(0L, math.floor(b - Z * math.sqrt(b + 1) - 10).toLong)
-    val bHi = if (b == 0.0) 0L else math.ceil(b + Z * math.sqrt(b + 1) + 10).toLong
-    val len = (bHi - bLo + 1).toInt
-    val pb = new Array[Double](len)
+    val pb = poisWindow(b)
+    val bLo = windowLo(b)
+    val bHi = bLo + pb.length - 1
     var i = 0
     var c0Tot = 0.0
     var c1Tot = 0.0
-    while (i < len) {
-      val k = bLo + i
-      pb(i) = if (b == 0.0) { if (k == 0) 1.0 else 0.0 } else math.exp(logPoisPmf(b, k))
-      c0Tot += pb(i); c1Tot += k * pb(i)
+    while (i < pb.length) {
+      c0Tot += pb(i); c1Tot += (bLo + i) * pb(i)
       i += 1
     }
+    val pa = poisWindow(a)
+    val aLo = windowLo(a)
     var u = bLo
     var c0 = 0.0
     var c1 = 0.0
     var e = 0.0
-    var kh = 0L
-    val logA = math.log(a)
-    var logPa = -a // log P_a(0)
-    while (kh <= aHi) {
+    i = 0
+    while (i < pa.length) {
+      val kh = aLo + i
       val t = (m - 1).toLong * kh
       while (u < t && u <= bHi) {
         val p = pb((u - bLo).toInt)
         c0 += p; c1 += u * p
         u += 1
       }
-      val pa = math.exp(logPa)
-      if (pa > 0) {
-        val cc0 = if (t > bHi) c0Tot else c0
-        val cc1 = if (t > bHi) c1Tot else c1
-        e += pa * ((m - 1).toDouble * kh * (2 * cc0 - c0Tot) - (2 * cc1 - c1Tot))
-      }
-      kh += 1
-      logPa += logA - math.log(kh.toDouble)
+      e += pa(i) * ((m - 1).toDouble * kh * (2 * c0 - c0Tot) - (2 * c1 - c1Tot))
+      i += 1
     }
     e / m
+  }
+
+  /** [[auto]] values keyed on their exact arguments (α, A − α, m); safe to
+    * share between threads.
+    */
+  final class Memo {
+    private val values = new ConcurrentHashMap[Memo.Key, java.lang.Double]
+    def apply(a: Double, b: Double, m: Int): Double =
+      values.computeIfAbsent(Memo.Key(a, b, m), _ => auto(a, b, m))
+  }
+  object Memo {
+    private final case class Key(a: Double, b: Double, m: Int)
   }
 
   /** Total expression error of one MGrid with present-HGrid means
     * `alphas` (absent HGrids are implicit zeros): Σ_j E_e(α_j, A−α_j, m)
     * plus the exact A/m term for each of the (m − |alphas|) empty HGrids.
-    * Within one MGrid E_e depends on α_j alone (A and m are shared), and
-    * α = count / days takes few distinct values, so each is computed once.
+    * α = count / days takes few distinct values, so `memo` computes each
+    * distinct kernel call once; the sum still runs term by term in order.
     */
-  def mgridTotal(alphas: Array[Double], m: Int): Double = {
-    require(alphas.length <= m, s"${alphas.length} HGrid means for m=$m")
-    val total = alphas.sum
-    val byAlpha = mutable.HashMap.empty[Double, Double]
-    var e = 0.0
+  def mgridTotal(alphas: Array[Double], m: Int, memo: Memo = new Memo): Double =
+    mgridTotal(alphas, alphas.length, m, memo)
+
+  /** [[mgridTotal]] of `alphas(0 until len)`. */
+  private def mgridTotal(alphas: Array[Double], len: Int, m: Int, memo: Memo): Double = {
+    require(len <= m, s"$len HGrid means for m=$m")
+    var total = 0.0
     var j = 0
-    while (j < alphas.length) {
-      val a = alphas(j)
-      e += byAlpha.getOrElseUpdate(a, auto(a, total - a, m))
-      j += 1
-    }
-    e + (m - alphas.length) * (if (m == 1) 0.0 else total / m)
+    while (j < len) { total += alphas(j); j += 1 }
+    var e = 0.0
+    j = 0
+    while (j < len) { e += memo(alphas(j), total - alphas(j), m); j += 1 }
+    e + (m - len) * (if (m == 1) 0.0 else total / m)
   }
 
   /** Per-slot totals Σ_i Σ_j E_e(i,j): `alpha(s)` is slot s's dense α
     * surface on the `spec.hSide` lattice (index cx·hSide + cy), where 0
-    * means an empty HGrid. Slots run in parallel on the JDK's common pool.
+    * means an empty HGrid. Slots run in parallel on the JDK's common pool
+    * and share one [[Memo]].
     */
   def totalPerSlot(alpha: Array[Array[Double]], spec: GridSpec): Array[Double] = {
-    val mOf = Array.tabulate(spec.hSide)(spec.mOfH)
     val cellsPerM = spec.cellsPerM
+    // HGrid ids grouped by MGrid (a stable sort keeps HGrid order inside
+    // each), and where each MGrid's group starts
+    val byM = Array.range(0, spec.totalHGrids).sortBy(h => spec.mgridId(h / spec.hSide, h % spec.hSide))
+    val start = cellsPerM.scanLeft(0)(_ + _)
+    val maxM = cellsPerM.max
+    val memo = new Memo
     val out = new Array[Double](alpha.length)
     IntStream.range(0, alpha.length).parallel().forEach { s =>
       val a = alpha(s)
       require(a.length == spec.totalHGrids,
         s"slot $s has ${a.length} α values for ${spec.totalHGrids} HGrids")
-      val present = Array.fill(spec.n)(new mutable.ArrayBuilder.ofDouble)
-      for (hx <- 0 until spec.hSide; hy <- 0 until spec.hSide) {
-        val v = a(hx * spec.hSide + hy)
-        if (v != 0.0) present(mOf(hx) * spec.nSide + mOf(hy)) += v
-      }
+      val present = new Array[Double](maxM)
       var e = 0.0
       var i = 0
-      while (i < spec.n) { e += mgridTotal(present(i).result(), cellsPerM(i)); i += 1 }
+      while (i < spec.n) {
+        var len = 0
+        var k = start(i)
+        while (k < start(i + 1)) {
+          val v = a(byM(k))
+          if (v != 0.0) { present(len) = v; len += 1 }
+          k += 1
+        }
+        e += mgridTotal(present, len, cellsPerM(i), memo)
+        i += 1
+      }
       out(s) = e
     }
     out

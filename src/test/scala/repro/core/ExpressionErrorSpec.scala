@@ -110,6 +110,43 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     assert(math.abs(e - approx) / approx < 0.05, s"auto=$e normalApprox=$approx")
   }
 
+  test("auto seeds P_a at its mode: large α (a = 1000, b = 4000) matches log-space Eq. 7") {
+    val (a, b, m) = (1000.0, 4000.0, 16)
+    val e = auto(a, b, m)
+    assert(e.isFinite && e > 0.0 && e <= lemmaBound(a, b, m), s"auto=$e")
+    // Eq. 7 term by term, each pmf point from logPoisPmf, over auto's windows
+    val (aLo, bLo) = (windowLo(a), windowLo(b))
+    val (aHi, bHi) = (aLo + poisWindow(a).length - 1, bLo + poisWindow(b).length - 1)
+    val logPb = (bLo to bHi).map(k => logPoisPmf(b, k)).toArray
+    var ref = 0.0
+    for (kh <- aLo to aHi) {
+      val logPa = logPoisPmf(a, kh)
+      var km = bLo
+      while (km <= bHi) {
+        ref += math.abs((m - 1.0) * kh - km) * math.exp(logPa + logPb((km - bLo).toInt))
+        km += 1
+      }
+    }
+    ref /= m
+    assert(math.abs(e - ref) <= 1e-12 * ref, s"auto=$e logSpace=$ref")
+  }
+
+  test("poisWindow: recurrence from the mode keeps the window's mass and every point") {
+    for (mu <- Seq(1e-3, 0.05, 1.0, 10.0, 100.0, 745.0, 1e4)) {
+      val w = poisWindow(mu)
+      val lo = windowLo(mu)
+      assert(math.abs(w.sum - 1.0) <= 1e-14, s"mu=$mu mass=${w.sum}")
+      for (i <- w.indices) {
+        val ref = math.exp(logPoisPmf(mu, lo + i))
+        assert(math.abs(w(i) - ref) <= 1e-12 * ref, s"mu=$mu k=${lo + i} recurrence=${w(i)} exp(logPoisPmf)=$ref")
+      }
+      // the mass left outside the ±12σ window (largest near mu ≈ 11)
+      val outside = (lo - 1 to 0 by -1).map(k => math.exp(logPoisPmf(mu, k))).sum +
+        (lo + w.length to lo + w.length + 200).map(k => math.exp(logPoisPmf(mu, k))).sum
+      assert(outside < 1e-26, s"mu=$mu tail mass $outside")
+    }
+  }
+
   private def erf(x: Double): Double = {
     // Abramowitz–Stegun 7.1.26, |err| < 1.5e-7
     val t = 1.0 / (1.0 + 0.3275911 * math.abs(x))
@@ -187,6 +224,28 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     var direct = 0.0
     alphas.foreach(a => direct += auto(a, total - a, m))
     assert(mgridTotal(alphas, m) == direct + (m - alphas.length) * total / m)
+  }
+
+  test("totalPerSlot's shared memo changes no bit of Σ_i mgridTotal") {
+    val hSide = 64
+    // integer counts ÷ 28, so α repeats within and across MGrids
+    val alpha = Array.tabulate(3, hSide * hSide) { (s, h) =>
+      Rng.poisson(0.5 + 3.0 * ((h / hSide + s) % 5), Rng.key(5, s, h)) / 28.0
+    }
+    for (nSide <- Seq(1, 3, 16, 32)) {
+      val spec = GridSpec(nSide, hSide)
+      val members = (for (hx <- 0 until hSide; hy <- 0 until hSide)
+        yield spec.mgridId(hx, hy) -> spec.hgridId(hx, hy)).groupMap(_._1)(_._2)
+      val want = alpha.map { a =>
+        var e = 0.0
+        for (i <- 0 until spec.n) {
+          val present = members(i).map(a).filter(_ != 0.0).toArray
+          e += mgridTotal(present, spec.cellsPerM(i)) // a fresh memo per MGrid
+        }
+        e
+      }
+      assert(totalPerSlot(alpha, spec).sameElements(want), s"nSide=$nSide")
+    }
   }
 
   test("mgridTotal on an empty MGrid is zero") {
