@@ -13,9 +13,7 @@ import repro.model.Models
   */
 object DispatchSweep {
   def main(args: Array[String]): Unit = {
-    val city = CityConfig.benchCities
-      .find(_.name == args.headOption.getOrElse("nyc"))
-      .getOrElse(sys.error("unknown city"))
+    val city = CityConfig.byName(args.headOption.getOrElse("nyc"))
     val nSides =
       if (args.length > 1) args(1).split(",").map(_.toInt).toSeq
       else Seq(4, 8, 12, 16, 24, 32, 48, 64)

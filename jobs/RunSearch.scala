@@ -15,9 +15,7 @@ import repro.model.Models
   */
 object RunSearch {
   def main(args: Array[String]): Unit = {
-    val city = CityConfig.benchCities
-      .find(_.name == args.headOption.getOrElse("nyc"))
-      .getOrElse(sys.error(s"unknown city ${args.head}"))
+    val city = CityConfig.byName(args.headOption.getOrElse("nyc"))
     val model = Models.byName(if (args.length > 1) args(1) else "ha4")
     val method = if (args.length > 2) args(2) else "iterative"
 

@@ -11,9 +11,7 @@ import repro.exp.Experiments
   */
 object RunTable3 {
   def main(args: Array[String]): Unit = {
-    val city = CityConfig.benchCities
-      .find(_.name == args.headOption.getOrElse("nyc"))
-      .getOrElse(sys.error(s"unknown city ${args.head}"))
+    val city = CityConfig.byName(args.headOption.getOrElse("nyc"))
     val spark = SparkSession.builder.appName(s"gridtuner-table3-${city.name}").getOrCreate()
     try {
       val (optN, rows) = Experiments.table3(Experiments.prepare(spark, city))

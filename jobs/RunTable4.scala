@@ -11,11 +11,10 @@ import repro.exp.Experiments
   */
 object RunTable4 {
   def main(args: Array[String]): Unit = {
-    val which = args.headOption.getOrElse("all")
-    val cities =
-      if (which == "all") CityConfig.benchCities
-      else CityConfig.benchCities.filter(_.name == which)
-    require(cities.nonEmpty, s"unknown city $which")
+    val cities = args.headOption.getOrElse("all") match {
+      case "all" => CityConfig.benchCities
+      case name => Seq(CityConfig.byName(name))
+    }
 
     val spark = SparkSession.builder.appName("gridtuner-table4").getOrCreate()
     try {

@@ -167,6 +167,10 @@ object CityConfig {
 
   val benchCities: Seq[CityConfig] = Seq(nyc, chengdu, xian)
 
+  def byName(name: String): CityConfig =
+    benchCities.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown city $name; known cities: ${benchCities.map(_.name).mkString(", ")}"))
+
   /** Tiny city for unit tests: ~600 orders/day on a 16² lattice. */
   val toy: CityConfig = CityConfig(
     name = "toy", widthKm = 10, heightKm = 10, dailyOrders = 600,

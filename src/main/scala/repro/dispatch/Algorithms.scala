@@ -1,6 +1,6 @@
 package repro.dispatch
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.data.CityConfig
 
@@ -40,17 +40,12 @@ object Algorithms {
       capacity = spec.capacity,
       farePriority = spec.farePriority,
       cellKm = 0.5 * (city.widthKm + city.heightKm) / fineSide,
-      // Workers serve the cell they were pre-positioned in: grid-size
-      // sensitivity comes entirely from where the prediction puts supply,
-      // which is POLAR's stage-1 semantics (commit to a grid, then match).
-      maxRing = 0,
     )
 
   /** Test-day orders per slot on the fine lattice, in a deterministic
     * order (no intra-slot timestamps exist; ties broken by coordinates).
     */
   def ordersBySlot(
-      spark: SparkSession,
       events: DataFrame,
       testDay: Int,
       fineSide: Int): Map[Int, Array[(Int, Double)]] = {

@@ -7,7 +7,7 @@ import scala.collection.mutable.ArrayBuffer
   * @param demand    total order count
   * @param served    orders matched to workers (fractional fluid tail)
   * @param revenue   summed fares of served orders
-  * @param travelKm  pickup travel (ring distance + half-cell approach)
+  * @param travelKm  pickup travel (a half-cell approach per served order)
   * @param shared    orders served on a shared seat (capacity > 1)
   * @param unserved  demand − served
   */
@@ -41,7 +41,6 @@ final case class SimResult(
   * @param farePriority serve highest-fare orders first within a cell
   *                     (LS's revenue objective) instead of arrival order
   * @param cellKm       physical size of a fine cell
-  * @param maxRing      farthest Chebyshev ring a worker may be pulled from
   */
 final case class SimConfig(
     fineSide: Int,
@@ -50,7 +49,6 @@ final case class SimConfig(
     capacity: Int = 1,
     farePriority: Boolean = false,
     cellKm: Double = 0.4,
-    maxRing: Int = 4,
 )
 
 /** Deterministic prediction-guided dispatch simulator (substitution for
@@ -59,11 +57,12 @@ final case class SimConfig(
   * Stage 1 (the part grid size affects): workers are pre-positioned
   * proportionally to the predicted demand of each MGrid, split uniformly
   * across the MGrid's fine cells — exactly the uniformity assumption whose
-  * cost the paper calls expression error. Stage 2: orders are matched to
-  * workers in expanding Chebyshev rings; a worker pulled from ring r pays
-  * (0.5 + r)·cellKm of pickup travel. With capacity > 1 a second matching
-  * pass uses the extra seats (shared rides), flagged so the caller can
-  * charge a detour.
+  * cost the paper calls expression error. Stage 2: workers serve the fine
+  * cell they were placed in (POLAR's stage-1 commitment: commit to a grid,
+  * then match). Each cell, in index order, serves min(orders, seats) of its
+  * own orders at 0.5·cellKm of pickup travel each. With capacity > 1 a
+  * second pass uses the extra seats (shared rides), flagged so the caller
+  * can charge a detour.
   *
   * Mis-positioned supply — from expression error (coarse n) or model
   * error (fine n) — strands workers away from demand and loses matches,
@@ -117,55 +116,26 @@ object DispatchSim {
       servedPos(c) = pos
     }
 
-    /** One matching sweep with the given per-cell seats; returns per-order
-      * bookkeeping via the closures above. `sharedPass` charges matches to
-      * the shared counter.
+    /** One matching pass: each cell serves `min(demand, seats)` of its own
+      * orders at half-cell travel; `sharedPass` charges them as shared.
       */
-    def sweep(seats: Array[Double], sharedPass: Boolean): Unit = {
-      var r = 0
-      while (r <= cfg.maxRing) {
-        var c = 0
-        while (c < cells) {
-          if (demandRes(c) > 1e-12) {
-            val cx = c / f
-            val cy = c % f
-            // donors at Chebyshev distance exactly r, fixed scan order
-            var dx = -r
-            while (dx <= r && demandRes(c) > 1e-12) {
-              var dy = -r
-              while (dy <= r && demandRes(c) > 1e-12) {
-                if (math.max(math.abs(dx), math.abs(dy)) == r) {
-                  val nx = cx + dx
-                  val ny = cy + dy
-                  if (nx >= 0 && nx < f && ny >= 0 && ny < f) {
-                    val d = nx * f + ny
-                    if (seats(d) > 1e-12) {
-                      val q = math.min(demandRes(c), seats(d))
-                      seats(d) -= q
-                      demandRes(c) -= q
-                      served += q
-                      travel += q * (0.5 + r) * cfg.cellKm
-                      if (sharedPass) shared += q
-                      serveFrom(c, q)
-                    }
-                  }
-                }
-                dy += 1
-              }
-              dx += 1
-            }
-          }
-          c += 1
+    def matchPass(seats: Array[Double], sharedPass: Boolean): Unit = {
+      var c = 0
+      while (c < cells) {
+        if (demandRes(c) > 1e-12 && seats(c) > 1e-12) {
+          val q = math.min(demandRes(c), seats(c))
+          demandRes(c) -= q
+          served += q
+          travel += q * 0.5 * cfg.cellKm
+          if (sharedPass) shared += q
+          serveFrom(c, q)
         }
-        r += 1
+        c += 1
       }
     }
 
-    sweep(supply.clone(), sharedPass = false)
-    if (cfg.capacity > 1) {
-      val extra = supply.map(_ * (cfg.capacity - 1))
-      sweep(extra, sharedPass = true)
-    }
+    matchPass(supply, sharedPass = false)
+    if (cfg.capacity > 1) matchPass(supply.map(_ * (cfg.capacity - 1)), sharedPass = true)
 
     SimResult(demand0, served, revenue, travel, shared, demand0 - served)
   }

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.data.{CityConfig, CountCube, EventGen}
-import repro.dispatch.{Algorithms, DispatchSim, SimResult}
+import repro.dispatch.{Algorithms, SimResult}
 import repro.model.{Models, ModelTier}
 
 import scala.collection.mutable
@@ -34,12 +34,20 @@ object Experiments {
   val IterStart = 16
   val IterBound = 4
 
-  /** One prepared city: cached events + an evaluator factory. */
+  /** One prepared city: cached events, an evaluator factory, and the
+    * driver-side inputs collected from the events on first use.
+    */
   final case class Env(spark: SparkSession, city: CityConfig, events: DataFrame) {
     /** The city's HGrid counts, collected on first use (not by [[prepare]])
       * and shared by every evaluator and dispatcher of the city.
       */
     lazy val cube: CountCube = CountCube(events, NTargetSide, city.days)
+
+    /** The test day's orders per slot on the HGrid lattice, collected on
+      * first use like [[cube]] and shared by every dispatcher of the city.
+      */
+    lazy val orders: Map[Int, Array[(Int, Double)]] =
+      Algorithms.ordersBySlot(events, TestDay, NTargetSide)
 
     def evaluator(models: Seq[ModelTier], computeReal: Boolean): Evaluator =
       new Evaluator(cube,
@@ -85,12 +93,11 @@ object Experiments {
   // ------------------------------------------------------------- dispatch
 
   /** Memoizing dispatch runner: simulates an algorithm at a grid size over
-    * any slot subset, with per-`nSide` prediction extraction cached.
+    * any slot subset of the city's test-day orders ([[Env.orders]]), with
+    * per-`nSide` prediction extraction cached.
     */
   final class Dispatcher(env: Env, model: ModelTier) {
     private val ev = env.evaluator(Seq(model), computeReal = false)
-    private val orders =
-      Algorithms.ordersBySlot(env.spark, env.events, TestDay, NTargetSide)
     private val predCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
     private val actCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
 
@@ -103,14 +110,10 @@ object Experiments {
     def run(spec: Algorithms.Spec, nSide: Int, slots: Seq[Int] = AllSlots,
             useActuals: Boolean = false): SimResult = {
       val p = if (useActuals) actuals(nSide) else preds(nSide)
-      Algorithms.runSlots(spec, env.city, nSide, NTargetSide, orders, p, slots)
+      Algorithms.runSlots(spec, env.city, nSide, NTargetSide, env.orders, p, slots)
     }
 
-    def servedOneSlot(nSide: Int, slot: Int): Double = {
-      val cfg = Algorithms.simConfig(env.city, Algorithms.Polar, nSide, NTargetSide)
-      val p = preds(nSide).getOrElse(slot, Array.fill(nSide * nSide)(0.0))
-      DispatchSim.run(orders.getOrElse(slot, Array.empty), p, cfg).served
-    }
+    def servedOneSlot(nSide: Int, slot: Int): Double = run(Algorithms.Polar, nSide, Seq(slot)).served
   }
 
   // ------------------------------------------------------------- Table III

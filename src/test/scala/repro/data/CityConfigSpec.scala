@@ -54,6 +54,13 @@ class CityConfigSpec extends AnyFunSuite {
     assert(atHotspot > 5 * atCorner)
   }
 
+  test("byName resolves every bench city and rejects unknowns, listing the known ones") {
+    for (c <- CityConfig.benchCities) assert(CityConfig.byName(c.name) eq c)
+    val e = intercept[IllegalArgumentException](CityConfig.byName("toy"))
+    assert(e.getMessage.contains("toy"))
+    assert(CityConfig.benchCities.forall(c => e.getMessage.contains(c.name)), e.getMessage)
+  }
+
   test("invalid configurations rejected") {
     assertThrows[IllegalArgumentException](CityConfig.toy.copy(days = 1))
     assertThrows[IllegalArgumentException](CityConfig.toy.copy(dailyOrders = 0))

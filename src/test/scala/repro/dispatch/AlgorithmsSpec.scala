@@ -21,7 +21,6 @@ class AlgorithmsSpec extends AnyFunSuite {
     val cfg = Algorithms.simConfig(c, Algorithms.Daif, nSide = 8, fineSide = 16)
     assert(cfg.nSide == 8 && cfg.fineSide == 16)
     assert(cfg.capacity == 2 && !cfg.farePriority)
-    assert(cfg.maxRing == 0) // stage-1 commitment: serve where you stand
     assert(math.abs(cfg.cellKm - 0.5 * (c.widthKm + c.heightKm) / 16) < 1e-12)
     assert(cfg.workers == Algorithms.fleetSize(c))
   }

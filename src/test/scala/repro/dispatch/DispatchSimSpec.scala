@@ -11,10 +11,9 @@ class DispatchSimSpec extends AnyFunSuite {
       nSide: Int,
       workers: Double,
       cap: Int = 1,
-      farePriority: Boolean = false,
-      maxRing: Int = 2) =
+      farePriority: Boolean = false) =
     SimConfig(fineSide = F, nSide = nSide, workers = workers, capacity = cap,
-      farePriority = farePriority, cellKm = 0.5, maxRing = maxRing)
+      farePriority = farePriority, cellKm = 0.5)
 
   private def ordersAt(cells: Seq[Int], fare: Double = 10.0): Array[(Int, Double)] =
     cells.map(c => (c, fare)).toArray
@@ -46,29 +45,20 @@ class DispatchSimSpec extends AnyFunSuite {
     val preds = Array(1.0, 0.0, 0.0, 0.0)
     val orders = ordersAt(Seq.fill(8)(0))
     // nSide=2 over F=8 ⇒ MGrid(0,0) covers 16 fine cells; workers spread over them
-    val r = DispatchSim.run(orders, preds, cfg(2, workers = 160, maxRing = 2))
+    val r = DispatchSim.run(orders, preds, cfg(2, workers = 160))
     assert(math.abs(r.served - 8.0) < 1e-9)
-    // ring-0 supply in cell(0,0) is 10 ⇒ everything served at half-cell travel
+    // supply in cell(0,0) is 10 ⇒ everything served at half-cell travel
     assert(math.abs(r.travelKm - 8 * 0.5 * 0.5) < 1e-9)
   }
 
-  test("misallocated prediction loses matches that ring search cannot recover") {
+  test("misallocated prediction strands workers and loses matches") {
     // demand in cell (0,0); all predicted mass in the far MGrid
     val nSide = 2
     val preds = Array(0.0, 0.0, 0.0, 1.0)
     val orders = ordersAt(Seq.fill(10)(0))
-    val far = DispatchSim.run(orders, preds, cfg(nSide, workers = 10, maxRing = 1))
-    val near = DispatchSim.run(orders, Array(1.0, 0.0, 0.0, 0.0), cfg(nSide, workers = 10, maxRing = 1))
+    val far = DispatchSim.run(orders, preds, cfg(nSide, workers = 10))
+    val near = DispatchSim.run(orders, Array(1.0, 0.0, 0.0, 0.0), cfg(nSide, workers = 10))
     assert(near.served > far.served, s"near=${near.served} far=${far.served}")
-  }
-
-  test("wider rings recover more matches at higher travel cost") {
-    val preds = Array(0.0, 1.0, 0.0, 0.0) // supply in wrong MGrid, reachable
-    val orders = ordersAt(Seq.fill(6)(3)) // cell (0,3) borders MGrid (0,1)
-    val r0 = DispatchSim.run(orders, preds, cfg(2, workers = 96, maxRing = 0))
-    val r1 = DispatchSim.run(orders, preds, cfg(2, workers = 96, maxRing = 1))
-    assert(r1.served > r0.served)
-    assert(r1.travelKm > r0.travelKm)
   }
 
   test("fare priority serves the expensive orders first") {
@@ -76,8 +66,8 @@ class DispatchSimSpec extends AnyFunSuite {
     val orders = Array((0, 5.0), (0, 50.0), (0, 20.0), (0, 1.0))
     val preds = Array(1.0, 0.0, 0.0, 0.0)
     val w = 2.0 * 16 // 2 workers land in cell 0 (MGrid 0 has 16 fine cells)
-    val hi = DispatchSim.run(orders, preds, cfg(2, workers = w, farePriority = true, maxRing = 0))
-    val fifo = DispatchSim.run(orders, preds, cfg(2, workers = w, farePriority = false, maxRing = 0))
+    val hi = DispatchSim.run(orders, preds, cfg(2, workers = w, farePriority = true))
+    val fifo = DispatchSim.run(orders, preds, cfg(2, workers = w, farePriority = false))
     assert(math.abs(hi.served - 2.0) < 1e-9 && math.abs(fifo.served - 2.0) < 1e-9)
     assert(math.abs(hi.revenue - 70.0) < 1e-9, s"rev=${hi.revenue}")
     assert(math.abs(fifo.revenue - 55.0) < 1e-9, s"rev=${fifo.revenue}")
@@ -86,7 +76,7 @@ class DispatchSimSpec extends AnyFunSuite {
   test("fractional supply serves fractional orders with proportional revenue") {
     val orders = Array((0, 10.0), (0, 30.0))
     val preds = Array(1.0, 0.0, 0.0, 0.0)
-    val r = DispatchSim.run(orders, preds, cfg(2, workers = 1.5 * 16, maxRing = 0))
+    val r = DispatchSim.run(orders, preds, cfg(2, workers = 1.5 * 16))
     assert(math.abs(r.served - 1.5) < 1e-9)
     assert(math.abs(r.revenue - (10.0 + 0.5 * 30.0)) < 1e-9)
   }
@@ -94,8 +84,8 @@ class DispatchSimSpec extends AnyFunSuite {
   test("capacity 2 doubles the effective seats and flags shared rides") {
     val orders = ordersAt(Seq.fill(10)(0))
     val preds = Array(1.0, 0.0, 0.0, 0.0)
-    val c1 = DispatchSim.run(orders, preds, cfg(2, workers = 4 * 16, cap = 1, maxRing = 0))
-    val c2 = DispatchSim.run(orders, preds, cfg(2, workers = 4 * 16, cap = 2, maxRing = 0))
+    val c1 = DispatchSim.run(orders, preds, cfg(2, workers = 4 * 16, cap = 1))
+    val c2 = DispatchSim.run(orders, preds, cfg(2, workers = 4 * 16, cap = 2))
     assert(math.abs(c1.served - 4.0) < 1e-9 && c1.shared == 0.0)
     assert(math.abs(c2.served - 8.0) < 1e-9 && math.abs(c2.shared - 4.0) < 1e-9)
   }
@@ -110,7 +100,7 @@ class DispatchSimSpec extends AnyFunSuite {
 
   test("zero predictions fall back to uniform placement") {
     val orders = ordersAt((0 until F * F))
-    val r = DispatchSim.run(orders, Array.fill(4)(0.0), cfg(2, workers = 64.0, maxRing = 0))
+    val r = DispatchSim.run(orders, Array.fill(4)(0.0), cfg(2, workers = 64.0))
     assert(math.abs(r.served - 64.0) < 1e-9) // one worker per cell, one order per cell
   }
 
@@ -124,8 +114,10 @@ class DispatchSimSpec extends AnyFunSuite {
     val orders = ordersAt(Seq.fill(20)(0) ++ Seq.fill(5)(63))
     val good = Array(20.0 / 25, 0.0, 0.0, 5.0 / 25)
     val bad = Array(5.0 / 25, 0.0, 0.0, 20.0 / 25)
-    val rg = DispatchSim.run(orders, good, cfg(2, workers = 25, cap = 2))
-    val rb = DispatchSim.run(orders, bad, cfg(2, workers = 25, cap = 2))
+    // 400 workers: the good placement puts 20 in cell 0 and 5 in cell 63, so
+    // all demand is met; the bad one puts 5 in cell 0, short even at 2 seats
+    val rg = DispatchSim.run(orders, good, cfg(2, workers = 400, cap = 2))
+    val rb = DispatchSim.run(orders, bad, cfg(2, workers = 400, cap = 2))
     assert(rg.unifiedCost(1.5, 8.0) < rb.unifiedCost(1.5, 8.0))
   }
 

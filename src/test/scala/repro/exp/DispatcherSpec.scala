@@ -1,0 +1,60 @@
+package repro.exp
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import repro.SparkSpec
+import repro.data.CityConfig
+import repro.model.Models
+
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
+import scala.jdk.CollectionConverters._
+
+/** `Experiments.Dispatcher` on the toy city, stretched to the experiments'
+  * 35 days so that day 34 (`TestDay`) exists.
+  */
+class DispatcherSpec extends SparkSpec {
+
+  /** `body`'s result and the Spark jobs started while it ran. Listener
+    * events arrive on their own thread, in order, so `body` is bracketed
+    * by two marker jobs and only the jobs whose start arrived between the
+    * markers' are counted.
+    */
+  private def withJobCount[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val starts = new ConcurrentLinkedQueue[String]
+    val closed = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        val desc = Option(e.properties).map(_.getProperty("spark.job.description")).orNull
+        starts.add(String.valueOf(desc))
+        if (desc == "close") closed.countDown()
+      }
+    }
+    def marker(desc: String): Unit = {
+      sc.setJobDescription(desc)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("open")
+      val result = body
+      marker("close")
+      assert(closed.await(60, TimeUnit.SECONDS), "the closing marker job never reached the listener")
+      (result, starts.asScala.toSeq.dropWhile(_ != "open").drop(1).takeWhile(_ != "close").size)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("a second Dispatcher on the same Env starts no Spark job") {
+    val env = Experiments.prepare(spark, CityConfig.toy.copy(days = 35))
+    try {
+      val slot = 37 // evening peak
+      val first = new Experiments.Dispatcher(env, Models.ha4)
+      val served = first.servedOneSlot(4, slot)
+      assert(served > 0)
+      val (again, jobs) = withJobCount {
+        new Experiments.Dispatcher(env, Models.ha4).servedOneSlot(4, slot)
+      }
+      assert(jobs == 0, s"$jobs Spark jobs")
+      assert(again == served)
+    } finally env.close()
+  }
+}
