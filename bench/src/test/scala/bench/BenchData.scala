@@ -7,7 +7,7 @@ import repro.exp.Experiments
 import scala.collection.mutable
 
 /** Per-JVM cache of prepared cities so the bench suites (which share one
-  * SparkSession) generate each city's 35-day event stream exactly once.
+  * SparkSession) build each city's count cube exactly once.
   */
 object BenchData {
   private val envs = mutable.Map.empty[String, Experiments.Env]
@@ -17,7 +17,7 @@ object BenchData {
       envs.getOrElseUpdate(city.name, {
         val t0 = System.nanoTime()
         val e = Experiments.prepare(spark, city)
-        println(f"[bench] prepared ${city.name}: ${e.events.count()}%,d events " +
+        println(f"[bench] prepared ${city.name}: ${e.cube.total}%,d events " +
           f"in ${(System.nanoTime() - t0) / 1e9}%.1f s")
         e
       })

@@ -29,8 +29,6 @@ final case class GridSpec(nSide: Int, nTargetSide: Int) {
   /** Average HGrids per MGrid (the paper's m, exact when nSide | √N). */
   def mAvg: Double = totalHGrids.toDouble / n
 
-  /** HGrid cell index (0-based, per axis) of a normalized coordinate. */
-  def hCell(x: Double): Int = clamp((x * hSide).toInt, hSide)
   /** MGrid axis index owning HGrid axis index `h`. */
   def mOfH(h: Int): Int = math.min(nSide - 1, h * nSide / hSide)
   /** Flattened MGrid id from HGrid axis indices. */
@@ -49,7 +47,4 @@ final case class GridSpec(nSide: Int, nTargetSide: Int) {
   /** m of each MGrid (flattened id → its HGrid count). */
   lazy val cellsPerM: Array[Int] =
     Array.tabulate(n)(id => axisCells(id / nSide) * axisCells(id % nSide))
-
-  private def clamp(i: Int, side: Int): Int =
-    if (i < 0) 0 else if (i >= side) side - 1 else i
 }

@@ -1,20 +1,22 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
 import repro.core.GridSpec
+
+import java.util.stream.IntStream
 
 /** One city's per-(day, slot, HGrid) event counts as a dense driver-side
   * array: the n-independent input of every grid-size evaluation.
   *
-  * Spark counts the events once ([[GridCounts.at]]); everything that
-  * depends on the grid size (MGrid block sums, HA(k) predictions, the
-  * three errors) is plain array arithmetic over this cube. At 35 days ×
-  * 48 slots × 64² HGrids it holds 6.9 M counts (≈ 27 MB).
+  * [[CountCube.generate]] counts the generator's draws once per city, with
+  * no point events and no Spark job; everything that depends on the grid
+  * size (MGrid block sums, HA(k) predictions, the three errors) is plain
+  * array arithmetic over this cube. At 35 days × 48 slots × 64² HGrids it
+  * holds 6.9 M counts (≈ 27 MB).
   *
   * @param side HGrid lattice side √N; a cell's index is cx·side + cy
   * @param days the cube covers days 0 until `days`
   */
-final class CountCube private (val side: Int, val days: Int, counts: Array[Int]) {
+final class CountCube private (val side: Int, val days: Int, private val counts: Array[Int]) {
 
   val cells: Int = side * side
 
@@ -22,6 +24,9 @@ final class CountCube private (val side: Int, val days: Int, counts: Array[Int])
 
   /** Events of `day` and `slot` in HGrid `cell`. */
   def apply(day: Int, slot: Int, cell: Int): Int = counts(offset(day, slot) + cell)
+
+  /** Events in the whole cube. */
+  def total: Long = counts.foldLeft(0L)(_ + _)
 
   /** α_ij of every slot and HGrid (`alpha(slot)(cell)`): the count summed
     * over days [dayFrom, dayUntil), then ÷ the number of days, the same
@@ -63,14 +68,27 @@ final class CountCube private (val side: Int, val days: Int, counts: Array[Int])
 
 object CountCube {
 
-  /** Counts `events` once at lattice `side` and collects them. */
-  def apply(events: DataFrame, side: Int, days: Int): CountCube = {
-    import events.sparkSession.implicits._
-    fromRows(side, days,
-      GridCounts.at(events, side)
-        .select("day", "slot", "cx", "cy", "cnt")
-        .as[(Int, Int, Int, Int, Long)]
-        .collect())
+  /** `city`'s counts on a `side` lattice, straight from the generator's
+    * draws ([[EventGen.drawCell]]), days in parallel on the JDK's common
+    * pool. Each event lands in HGrid [[GridCounts.cellIdx]] of its own
+    * x and y, so the cube equals counting the Spark events with
+    * [[GridCounts.at]], cell for cell, at any side.
+    */
+  def generate(city: CityConfig, side: Int): CountCube = {
+    require(side >= 1, s"empty lattice side $side")
+    val cube = new CountCube(side, city.days, new Array[Int](city.days * CityConfig.Slots * side * side))
+    val genCells = city.genSide * city.genSide
+    IntStream.range(0, city.days).parallel().forEach { day =>
+      val shares = city.sharesForDay(day)
+      for (slot <- 0 until CityConfig.Slots) {
+        val o = cube.offset(day, slot)
+        for (cell <- 0 until genCells)
+          EventGen.drawCell(city, shares, day, slot, cell, trips = false) { (x, y, _) =>
+            cube.counts(o + GridCounts.cellIdx(x, side) * side + GridCounts.cellIdx(y, side)) += 1
+          }
+      }
+    }
+    cube
   }
 
   /** A cube from sparse (day, slot, cx, cy, cnt) rows; absent cells are 0.

@@ -3,6 +3,8 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.core.Rng
 
+import scala.collection.mutable
+
 /** One spatial event (taxi order): pickup at (x, y) ∈ [0,1)², trip length
   * `km`, fare in currency units.
   */
@@ -25,46 +27,67 @@ object EventGen {
   val FareBase = 2.5
   val FarePerKm = 1.2
 
-  /** All events of `city` as a Dataset — cache this; everything downstream
-    * (counts at any lattice, α, model training) derives from it.
+  /** The fare of a trip of `km` kilometres. */
+  def fare(km: Double): Double = FareBase + FarePerKm * km
+
+  /** Receives one drawn event: its position and its trip length in km
+    * (NaN when trips are not drawn).
+    */
+  trait Sink { def apply(x: Double, y: Double, km: Double): Unit }
+
+  /** Draws the events of generation cell `cell` on `day` in `slot`, where
+    * `shares` is `city.sharesForDay(day)`: a Poisson(μ) count, then per
+    * event a uniform position inside the cell and, if `trips`, a lognormal
+    * trip length. Feeds each event to `sink`.
+    *
+    * This is the one generation routine: the Spark [[events]],
+    * [[CountCube.generate]] and `Algorithms.orders` all call it, so they
+    * agree event for event.
+    */
+  def drawCell(city: CityConfig, shares: Array[Double], day: Int, slot: Int, cell: Int,
+               trips: Boolean)(sink: Sink): Unit = {
+    val g = city.genSide
+    val mu = city.dailyOrders * city.slotProfile(slot) * shares(cell)
+    val cnt = Rng.poisson(mu, Rng.key(city.seed, day, slot, cell))
+    val cx = cell / g
+    val cy = cell % g
+    var e = 0
+    while (e < cnt) {
+      val ek = Rng.key(city.seed, day, slot, cell, 7777L + e)
+      val km =
+        if (!trips) Double.NaN
+        else math.min(60.0, math.max(0.4, math.exp(city.logKmMean + city.logKmSigma * Rng.gaussian(ek, 2))))
+      sink((cx + Rng.uniform(ek, 0)) / g, (cy + Rng.uniform(ek, 1)) / g, km)
+      e += 1
+    }
+  }
+
+  /** All events of `city` as a Dataset, one Spark task per partition of the
+    * (day × slot × generation cell) range. Only tests, the `D_α` sweep and
+    * stand-alone layer timings need point events; the experiments read
+    * counts and orders drawn on the driver.
     */
   def events(spark: SparkSession, city: CityConfig): Dataset[Event] = {
     import spark.implicits._
-    val g = city.genSide
+    val cells = city.genSide.toLong * city.genSide
     val slots = CityConfig.Slots
-    val profile = city.slotProfile
-    val daily = city.dailyOrders
-    val seed = city.seed
-    val lm = city.logKmMean
-    val ls = city.logKmSigma
-    val cells = g.toLong * g
 
     spark
       .range(city.days.toLong * slots * cells)
       .mapPartitions { iter =>
         // per-day spatial shares (hotspots jitter daily); cached per task
-        val shareCache = scala.collection.mutable.Map.empty[Int, Array[Double]]
+        val shareCache = mutable.Map.empty[Int, Array[Double]]
         iter.flatMap { boxedId =>
           val id: Long = boxedId
           val cell = (id % cells).toInt
           val slot = ((id / cells) % slots).toInt
           val day = (id / (cells * slots)).toInt
           val shares = shareCache.getOrElseUpdate(day, city.sharesForDay(day))
-          val mu = daily * profile(slot) * shares(cell)
-          val k = Rng.key(seed, day, slot, cell)
-          val cnt = Rng.poisson(mu, k)
-          if (cnt == 0) Iterator.empty
-          else {
-            val cx = cell / g
-            val cy = cell % g
-            Iterator.tabulate(cnt) { e =>
-              val ek = Rng.key(seed, day, slot, cell, 7777L + e)
-              val x = (cx + Rng.uniform(ek, 0)) / g
-              val y = (cy + Rng.uniform(ek, 1)) / g
-              val km = math.min(60.0, math.max(0.4, math.exp(lm + ls * Rng.gaussian(ek, 2))))
-              Event(day, slot, x, y, km, FareBase + FarePerKm * km)
-            }
+          val out = mutable.ArrayBuffer.empty[Event]
+          drawCell(city, shares, day, slot, cell, trips = true) { (x, y, km) =>
+            out += Event(day, slot, x, y, km, fare(km))
           }
+          out
         }
       }
   }

@@ -3,7 +3,8 @@ package repro.data
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** Lattice counting over event DataFrames.
+/** Lattice counting over event DataFrames: the test oracle of
+  * [[CountCube.generate]] and the input of the `D_α` sweep.
   *
   * All schemas:
   *  - events: (day, slot, x, y, km, fare) with x, y ∈ [0,1)
@@ -11,8 +12,8 @@ import org.apache.spark.sql.functions._
   *  - alpha:  (slot, cx, cy, alpha)
   *
   * Cells with zero events are *absent* (sparse representation). The
-  * grid-size evaluations do not read these DataFrames: [[CountCube]]
-  * collects `at` once into a dense array, where absent cells are zeros.
+  * grid-size evaluations do not read these DataFrames: they read the
+  * dense [[CountCube]], where absent cells are zeros.
   */
 object GridCounts {
 
@@ -20,7 +21,11 @@ object GridCounts {
   def cellIdx(c: Column, side: Int): Column =
     least(lit(side - 1), greatest(lit(0), floor(c * side).cast("int")))
 
-  /** Per-(day, slot, cell) counts at lattice `side`. */
+  /** [[cellIdx]] of one coordinate on the driver, the same arithmetic. */
+  def cellIdx(c: Double, side: Int): Int =
+    math.min(side - 1, math.max(0, math.floor(c * side).toInt))
+
+  /** Per-(day, slot, cell) counts at lattice `side` (test oracle). */
   def at(events: DataFrame, side: Int): DataFrame =
     events
       .groupBy(
@@ -31,7 +36,8 @@ object GridCounts {
 
   /** α_ij estimate: mean per-(slot, cell) count over days
     * [dayFrom, dayUntil) — the paper's "same time slot over the previous
-    * month". Absent (slot, cell) rows mean α = 0.
+    * month". Absent (slot, cell) rows mean α = 0. Test oracle of
+    * [[CountCube.alpha]] and the `D_α` input.
     */
   def alpha(counts: DataFrame, dayFrom: Int, dayUntil: Int): DataFrame = {
     require(dayUntil > dayFrom, s"empty train window [$dayFrom, $dayUntil)")

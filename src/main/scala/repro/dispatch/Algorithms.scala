@@ -1,8 +1,8 @@
 package repro.dispatch
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import repro.data.CityConfig
+import repro.data.{CityConfig, EventGen, GridCounts}
+
+import scala.collection.mutable
 
 /** The three prediction-based crowdsourcing algorithms of the paper's case
   * study (§V-D), as configurations of [[DispatchSim]]:
@@ -42,26 +42,23 @@ object Algorithms {
       cellKm = 0.5 * (city.widthKm + city.heightKm) / fineSide,
     )
 
-  /** Test-day orders per slot on the fine lattice, in a deterministic
-    * order (no intra-slot timestamps exist; ties broken by coordinates).
+  /** `day`'s orders per slot on the fine lattice as (cell, fare), drawn
+    * straight from the generator ([[EventGen.drawCell]]), in a
+    * deterministic order (no intra-slot timestamps exist; ties broken by
+    * coordinates). Slots without orders are absent.
     */
-  def ordersBySlot(
-      events: DataFrame,
-      testDay: Int,
-      fineSide: Int): Map[Int, Array[(Int, Double)]] = {
-    events
-      .where(col("day") === testDay)
-      .select(col("slot"), col("x"), col("y"), col("fare"))
-      .collect()
-      .map { r =>
-        val cx = math.min(fineSide - 1, (r.getDouble(1) * fineSide).toInt)
-        val cy = math.min(fineSide - 1, (r.getDouble(2) * fineSide).toInt)
-        (r.getInt(0), cx * fineSide + cy, r.getDouble(1), r.getDouble(2), r.getDouble(3))
-      }
-      .groupBy(_._1)
-      .map { case (slot, rows) =>
-        slot -> rows.sortBy(t => (t._3, t._4, t._5)).map(t => (t._2, t._5))
-      }
+  def orders(city: CityConfig, day: Int, fineSide: Int): Map[Int, Array[(Int, Double)]] = {
+    val shares = city.sharesForDay(day)
+    (0 until CityConfig.Slots).flatMap { slot =>
+      val drawn = mutable.ArrayBuffer.empty[(Double, Double, Double)]
+      for (cell <- 0 until city.genSide * city.genSide)
+        EventGen.drawCell(city, shares, day, slot, cell, trips = true) { (x, y, km) =>
+          drawn += ((x, y, EventGen.fare(km)))
+        }
+      Option.when(drawn.nonEmpty)(slot -> drawn.sorted.map { case (x, y, fare) =>
+        (GridCounts.cellIdx(x, fineSide) * fineSide + GridCounts.cellIdx(y, fineSide), fare)
+      }.toArray)
+    }.toMap
   }
 
   /** Run one algorithm over the given slots with per-slot predictions. */

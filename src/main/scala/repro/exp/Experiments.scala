@@ -34,32 +34,37 @@ object Experiments {
   val IterStart = 16
   val IterBound = 4
 
-  /** One prepared city: cached events, an evaluator factory, and the
-    * driver-side inputs collected from the events on first use.
+  /** One prepared city: its count cube, an evaluator factory, and the
+    * inputs that only some experiments read, made on first use.
+    *
+    * @param cube the city's HGrid counts, shared by every evaluator and
+    *             dispatcher of the city
     */
-  final case class Env(spark: SparkSession, city: CityConfig, events: DataFrame) {
-    /** The city's HGrid counts, collected on first use (not by [[prepare]])
-      * and shared by every evaluator and dispatcher of the city.
-      */
-    lazy val cube: CountCube = CountCube(events, NTargetSide, city.days)
+  final class Env(val spark: SparkSession, val city: CityConfig, val cube: CountCube) {
+    private var eventsDefined = false
 
-    /** The test day's orders per slot on the HGrid lattice, collected on
-      * first use like [[cube]] and shared by every dispatcher of the city.
+    /** The city's whole event stream as an uncached Spark DataFrame, for
+      * the places that need point events (tests, the `D_α` sweep, layer
+      * timings); no experiment reads it.
       */
-    lazy val orders: Map[Int, Array[(Int, Double)]] =
-      Algorithms.ordersBySlot(events, TestDay, NTargetSide)
+    lazy val events: DataFrame = { eventsDefined = true; EventGen.eventsDf(spark, city) }
+
+    /** The test day's orders per slot on the HGrid lattice, drawn on first
+      * use and shared by every dispatcher of the city.
+      */
+    lazy val orders: Map[Int, Array[(Int, Double)]] = Algorithms.orders(city, TestDay, NTargetSide)
 
     def evaluator(models: Seq[ModelTier], computeReal: Boolean): Evaluator =
       new Evaluator(cube,
         EvalConfig(NTargetSide, models, TestDay, ValDays, TrainWindow, computeReal))
-    def close(): Unit = events.unpersist()
+
+    /** Releases the events if a caller cached them. */
+    def close(): Unit = if (eventsDefined) events.unpersist()
   }
 
-  def prepare(spark: SparkSession, city: CityConfig): Env = {
-    val ev = EventGen.eventsDf(spark, city).cache()
-    ev.count() // materialize once
-    Env(spark, city, ev)
-  }
+  /** Set-up of one city: its count cube, drawn on the driver (no Spark job). */
+  def prepare(spark: SparkSession, city: CityConfig): Env =
+    new Env(spark, city, CountCube.generate(city, NTargetSide))
 
   /** Day-aggregate objective: Σ_slots e(√n) for one model. */
   def sumObjective(ev: Evaluator, model: ModelTier, slots: Seq[Int] = AllSlots): Int => Double =
@@ -175,12 +180,12 @@ object Experiments {
     * Per slot, each algorithm minimizes e(√n); *probability* is the share
     * of the 48 slots where it returns that slot's brute-force optimum;
     * *OR* is (POLAR orders served at the found n) / (at the optimal n),
-    * summed over slots — the paper's optimal ratio. The city's count cube
-    * is built before any timing, and each algorithm gets a fresh evaluator
-    * (an empty memo), so its cost is the wall time of its own evaluations.
+    * summed over slots — the paper's optimal ratio. [[prepare]] built the
+    * city's count cube before any timing, and each algorithm gets a fresh
+    * evaluator (an empty memo), so its cost is the wall time of its own
+    * evaluations.
     */
   def table4(env: Env, model: ModelTier = Models.ha4): Seq[SearchRow] = {
-    env.cube // set-up shared by all algorithms, kept out of their costs
     def runAlg(search: (Int => Double) => Search.Result): (Map[Int, Int], Double, Int) = {
       val ev = env.evaluator(Seq(model), computeReal = false)
       val t0 = System.nanoTime()

@@ -1,7 +1,7 @@
 package repro
 
 import repro.core.{Evaluator, EvalConfig, Search}
-import repro.data.{CityConfig, CountCube, EventGen}
+import repro.data.{CityConfig, EventGen}
 import repro.dispatch.Algorithms
 import repro.model.ModelTier
 
@@ -14,7 +14,7 @@ class OGSSIntegrationSpec extends SparkSpec {
   private lazy val events = EventGen.eventsDf(spark, toy).cache()
   private val tiers = Seq(ModelTier("lastday", 1), ModelTier("ha8", 8))
 
-  private lazy val ev = new Evaluator(CountCube(events, 16, toy.days),
+  private lazy val ev = new Evaluator(EventOracle.cube(events, 16, toy.days),
     EvalConfig(nTargetSide = 16, models = tiers, testDay = 11,
       valDays = Seq(9, 10), trainWindow = 8))
 
@@ -55,7 +55,7 @@ class OGSSIntegrationSpec extends SparkSpec {
 
   test("dispatch end-to-end: predictions → simulation is conservative") {
     val fineSide = 16
-    val orders = Algorithms.ordersBySlot(events, testDay = 11, fineSide)
+    val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     assert(orders.nonEmpty)
     val preds = ev.testPredictions(4, tiers(1))
     val res = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, preds, orders.keys.toSeq)
@@ -67,7 +67,7 @@ class OGSSIntegrationSpec extends SparkSpec {
 
   test("dispatch with actual counts beats badly misallocated predictions") {
     val fineSide = 16
-    val orders = Algorithms.ordersBySlot(events, testDay = 11, fineSide)
+    val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
     val actual = ev.testActuals(4)
     // adversarial predictions: reverse the per-MGrid demand ranking
@@ -79,7 +79,7 @@ class OGSSIntegrationSpec extends SparkSpec {
 
   test("LS revenue ≥ POLAR revenue under identical conditions") {
     val fineSide = 16
-    val orders = Algorithms.ordersBySlot(events, testDay = 11, fineSide)
+    val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
     val preds = ev.testPredictions(4, tiers(1))
     val polar = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, preds, slots)
@@ -90,7 +90,7 @@ class OGSSIntegrationSpec extends SparkSpec {
 
   test("DAIF serves at least as many requests as POLAR (capacity 2)") {
     val fineSide = 16
-    val orders = Algorithms.ordersBySlot(events, testDay = 11, fineSide)
+    val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
     val preds = ev.testPredictions(4, tiers(1))
     val polar = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, preds, slots)

@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
-import repro.data.{CityConfig, CountCube, EventGen, GridCounts}
+import repro.{EventOracle, Oracle, SparkSpec}
+import repro.data.{CityConfig, EventGen, GridCounts}
 import repro.model.ModelTier
 
 /** Integration tests of the Algorithm-3 evaluator on the toy city. */
@@ -10,7 +10,7 @@ class EvaluatorSpec extends SparkSpec {
 
   private lazy val toy = CityConfig.toy // 12 days, 600 orders/day, genSide 16
   private lazy val events = EventGen.eventsDf(spark, toy).cache()
-  private lazy val cube = CountCube(events, 16, toy.days)
+  private lazy val cube = EventOracle.cube(events, 16, toy.days)
   /** HGrid counts as the SQL references' input table. */
   private lazy val hCounts = GridCounts.at(events, 16)
 
@@ -72,6 +72,35 @@ class EvaluatorSpec extends SparkSpec {
       val real = total(r)(_.realErr(t.name))
       val upper = total(r)(s => s.upper(t.name))
       assert(real <= upper * 1.05 + 1e-6, s"${t.name}: real=$real upper=$upper")
+    }
+  }
+
+  test("Theorem II.1 holds exactly per HGrid on the test day's counts") {
+    // With λ̂_i = S_i/k (HA(k)), every term times k·m_i is an integer:
+    // real = |S_i − k·m_i·λ_ij|, model = |S_i − k·λ_i|, expr = |k·λ_i − k·m_i·λ_ij|.
+    val k = tiers(1).k // ha3
+    val day = 11
+    for (n <- Seq(4, 3, 5); s <- Seq(0, 17, 37)) {
+      val spec = GridSpec(n, 16)
+      val lambda = cube.blockSums(spec, day, s)
+      val sums = (day - k until day).map(d => cube.blockSums(spec, d, s))
+      val pred = Array.tabulate(spec.n)(i => sums.map(_(i)).sum)
+      val m = spec.cellsPerM
+      var realErr = 0.0
+      for (hx <- 0 until 16; hy <- 0 until 16) {
+        val i = spec.mgridId(hx, hy)
+        val c = cube(day, s, spec.hgridId(hx, hy)).toLong
+        val real = math.abs(pred(i) - k * m(i) * c)
+        val model = math.abs(pred(i) - k * lambda(i))
+        val expr = math.abs(k * lambda(i) - k * m(i) * c)
+        val at = s"n=$n slot $s HGrid ($hx, $hy)"
+        assert(real <= model + expr, at)
+        assert(real >= math.abs(model - expr), at)
+        assert(model + expr - real <= 2 * math.min(model, expr), at)
+        realErr += real.toDouble / (k * m(i))
+      }
+      val got = ev(n)(s).realErr("ha3")
+      assert(math.abs(got - realErr) <= 1e-9 * math.max(1.0, realErr), s"n=$n slot $s: $got vs $realErr")
     }
   }
 

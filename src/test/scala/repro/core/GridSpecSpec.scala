@@ -44,15 +44,6 @@ class GridSpecSpec extends AnyFunSuite with PropChecks {
     }
   }
 
-  test("hCell maps [0,1) onto 0..hSide−1 and clamps edges") {
-    val s = GridSpec(4, 16)
-    assert(s.hCell(0.0) == 0)
-    assert(s.hCell(0.999999) == 15)
-    assert(s.hCell(1.0) == 15) // clamped
-    assert(s.hCell(-0.1) == 0) // clamped
-    assert(s.hCell(0.5) == 8)
-  }
-
   test("mOfH is monotone and onto 0..nSide−1") {
     for (spec <- Seq(GridSpec(3, 8), GridSpec(7, 64), GridSpec(64, 64))) {
       val ms = (0 until spec.hSide).map(spec.mOfH)

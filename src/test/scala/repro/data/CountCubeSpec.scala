@@ -1,20 +1,47 @@
 package repro.data
 
-import repro.{Oracle, SparkSpec}
+import repro.{EventOracle, Oracle, SparkSpec}
 import repro.core.GridSpec
 
-/** The dense count cube: extraction from GridCounts and MGrid block sums,
-  * result-checked against GridCounts and DuckDB.
+/** The dense count cube, built from the generator's draws: its cells, α
+  * and MGrid block sums, result-checked against GridCounts over the Spark
+  * events and against DuckDB.
   */
 class CountCubeSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val toy = CityConfig.toy
   // two days keep the oracle's row-by-row inserts fast
-  private lazy val ev =
-    EventGen.eventsDf(spark, toy.copy(days = 2, dailyOrders = 400)).cache()
-  private lazy val cube8 = CountCube(ev, 8, 2)
-  private lazy val cube16 = CountCube(ev, 16, 2)
+  private lazy val small = toy.copy(days = 2, dailyOrders = 400)
+  private lazy val ev = EventGen.eventsDf(spark, small).cache()
+  private lazy val cube8 = CountCube.generate(small, 8)
+  private lazy val cube16 = CountCube.generate(small, 16)
+
+  /** Asserts that `got` and `want` hold the same count in every cell. */
+  private def assertSameCells(got: CountCube, want: CountCube): Unit = {
+    assert(got.side == want.side && got.days == want.days)
+    for (d <- 0 until got.days; s <- 0 until CityConfig.Slots; c <- 0 until got.cells)
+      if (got(d, s, c) != want(d, s, c))
+        fail(s"day $d, slot $s, cell $c: ${got(d, s, c)} drawn, ${want(d, s, c)} counted by Spark")
+  }
+
+  test("the draws-built cube equals GridCounts.at over the Spark events, toy city, sides 8, 16, 64") {
+    val events = EventGen.eventsDf(spark, toy).cache()
+    try for (side <- Seq(8, 16, 64)) {
+      val cube = CountCube.generate(toy, side)
+      assertSameCells(cube, EventOracle.cube(events, side, toy.days))
+      assert(cube.total == events.count())
+    } finally events.unpersist()
+  }
+
+  test("the draws-built cube equals GridCounts.at on each preset at reduced volume, side 64") {
+    for (preset <- CityConfig.benchCities) {
+      val city = preset.copy(days = 2, dailyOrders = preset.dailyOrders * 0.02)
+      val cube = CountCube.generate(city, 64)
+      assert(cube.total > 0.9 * city.dailyOrders * city.days, s"${city.name}: ${cube.total} events")
+      assertSameCells(cube, EventOracle.cube(EventGen.eventsDf(spark, city), 64, city.days))
+    }
+  }
 
   /** Non-zero MGrid block sums of every (day, slot) as count rows. */
   private def blockRows(cube: CountCube, spec: GridSpec): Seq[(Int, Int, Int, Int, Long)] =
@@ -72,7 +99,7 @@ class CountCubeSpec extends SparkSpec {
   }
 
   test("blockSums() rejects refinement (MGrid side > cube side)") {
-    val cube4 = CountCube(ev, 4, 2)
+    val cube4 = CountCube.generate(small, 4)
     assertThrows[IllegalArgumentException](cube4.blockSums(GridSpec(8, 8), 0, 0))
     assertThrows[IllegalArgumentException](cube4.blockSums(GridSpec(8, 4), 0, 0))
   }

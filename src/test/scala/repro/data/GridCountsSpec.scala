@@ -61,5 +61,16 @@ class GridCountsSpec extends SparkSpec {
       GridCounts.cellIdx(col("x"), 4).as("cx"),
       GridCounts.cellIdx(col("y"), 4).as("cy")).collect()
     assert(r.map(x => (x.getInt(0), x.getInt(1))).toSeq == Seq((0, 0), (0, 2), (3, 3)))
+    val driver = Seq((-0.5, 0.0), (0.0, 0.5), (0.999, 1.5))
+      .map { case (x, y) => (GridCounts.cellIdx(x, 4), GridCounts.cellIdx(y, 4)) }
+    assert(driver == Seq((0, 0), (0, 2), (3, 3)))
+  }
+
+  test("cellIdx on the driver maps [0,1) onto 0..side−1 and clamps edges") {
+    assert(GridCounts.cellIdx(0.0, 16) == 0)
+    assert(GridCounts.cellIdx(0.999999, 16) == 15)
+    assert(GridCounts.cellIdx(1.0, 16) == 15) // clamped
+    assert(GridCounts.cellIdx(-0.1, 16) == 0) // clamped
+    assert(GridCounts.cellIdx(0.5, 16) == 8)
   }
 }

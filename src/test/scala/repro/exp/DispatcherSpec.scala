@@ -8,8 +8,8 @@ import repro.model.Models
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
 
-/** `Experiments.Dispatcher` on the toy city, stretched to the experiments'
-  * 35 days so that day 34 (`TestDay`) exists.
+/** `Experiments.prepare` and `Experiments.Dispatcher` on the toy city,
+  * stretched to the experiments' 35 days so that day 34 (`TestDay`) exists.
   */
 class DispatcherSpec extends SparkSpec {
 
@@ -41,6 +41,16 @@ class DispatcherSpec extends SparkSpec {
       assert(closed.await(60, TimeUnit.SECONDS), "the closing marker job never reached the listener")
       (result, starts.asScala.toSeq.dropWhile(_ != "open").drop(1).takeWhile(_ != "close").size)
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("prepare, an evaluation and a dispatch start no Spark job") {
+    val ((served, upper), jobs) = withJobCount {
+      val env = Experiments.prepare(spark, CityConfig.toy.copy(days = 35))
+      val upper = env.evaluator(Seq(Models.ha4), computeReal = true)(4)(37).upper(Models.ha4.name)
+      (new Experiments.Dispatcher(env, Models.ha4).servedOneSlot(4, 37), upper)
+    }
+    assert(jobs == 0, s"$jobs Spark jobs")
+    assert(served > 0 && upper > 0)
   }
 
   test("a second Dispatcher on the same Env starts no Spark job") {
