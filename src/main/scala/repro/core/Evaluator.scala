@@ -18,19 +18,19 @@ final case class SlotEval(
   def upper(model: String): Double = exprErr + modelErr(model)
 }
 
-/** Evaluation protocol shared by all experiments.
+/** Evaluation protocol shared by all experiments. The HGrid lattice (√N)
+  * is the count cube's: every error is measured on it, so errors are
+  * comparable across n.
   *
-  * @param nTargetSide √N — HGrid lattice side (all errors are measured on
-  *                    this fixed lattice so they are comparable across n)
   * @param models      prediction tiers to evaluate
   * @param testDay     held-out day for real error / dispatch
-  * @param valDays     days whose predictions estimate MAE(f) (Eq. 20)
+  * @param valDays     days whose predictions estimate MAE(f) (Eq. 20);
+  *                    each needs k earlier days for every HA(k) tier
   * @param trainWindow α_ij estimation window (days before testDay)
   * @param computeReal also compute test-day real error (off for search
   *                    benchmarks — searches only need the upper bound)
   */
 final case class EvalConfig(
-    nTargetSide: Int,
     models: Seq[ModelTier],
     testDay: Int,
     valDays: Seq[Int],
@@ -39,12 +39,14 @@ final case class EvalConfig(
 ) {
   require(valDays.nonEmpty && valDays.forall(d => d > 0 && d <= testDay))
   require(testDay - trainWindow >= 0, "train window precedes day 0")
+  for (d <- valDays; mt <- models)
+    require(d >= mt.k, s"validation day $d has no full HA(${mt.k}) window for ${mt.name}")
 }
 
 /** Upper-bound evaluator (paper Algorithm 3), memoized per grid size.
   *
-  * Reads the city's [[CountCube]], which Spark counted once; nothing here
-  * runs a Spark job. The α surface is summed once per evaluator. Each new
+  * Reads the city's [[CountCube]], built once per city; nothing here runs
+  * a Spark job. The α surface is summed once per evaluator. Each new
   * grid size then costs plain array arithmetic over the cube: MGrid block
   * sums, HA(k) predictions, Eq. 20 model error and test-day real error,
   * plus the expression-error kernel (parallel over slots). Search
@@ -52,8 +54,6 @@ final case class EvalConfig(
   * cost unit of the paper's Table IV.
   */
 final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
-  require(cfg.nTargetSide == cube.side,
-    s"nTargetSide ${cfg.nTargetSide} differs from the count cube's side ${cube.side}")
   require(cfg.testDay < cube.days,
     s"testDay ${cfg.testDay} is outside the count cube's days 0 until ${cube.days}")
 
@@ -77,9 +77,9 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
   private lazy val alpha = cube.alpha(cfg.testDay - cfg.trainWindow, cfg.testDay)
 
   private def compute(nSide: Int): Map[Int, SlotEval] = {
-    val spec = GridSpec(nSide, cfg.nTargetSide)
+    val spec = GridSpec(nSide, cube.side)
     val exprErr = ExpressionError.totalPerSlot(alpha, spec)
-    val firstDay = math.max(0, (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max)
+    val firstDay = (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max
     (0 until CityConfig.Slots).map { s =>
       val mgrid = (firstDay to cfg.testDay).map(d => cube.blockSums(spec, d, s))
       val counts: Int => Array[Long] = d => mgrid(d - firstDay)
@@ -102,12 +102,10 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     }.toMap
   }
 
-  /** HA(k) prediction of day `d` per MGrid: the mean of days d−k … d−1
-    * (days before 0 count as empty).
-    */
+  /** HA(k) prediction of day `d` per MGrid: the mean of days d−k … d−1. */
   private def haPredict(spec: GridSpec, counts: Int => Array[Long], k: Int, d: Int): Array[Double] = {
     val sum = new Array[Long](spec.n)
-    for (day <- math.max(0, d - k) until d) {
+    for (day <- d - k until d) {
       val c = counts(day)
       var i = 0
       while (i < sum.length) { sum(i) += c(i); i += 1 }
@@ -119,11 +117,12 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     * HGrid, empty ones included.
     */
   private def testDayRealErr(spec: GridSpec, slot: Int, pred: Array[Double]): Double = {
+    val mg = spec.mgridOf
     val m = spec.cellsPerM
     var e = 0.0
-    for (hx <- 0 until spec.hSide; hy <- 0 until spec.hSide) {
-      val i = spec.mgridId(hx, hy)
-      e += math.abs(pred(i) / m(i) - cube(cfg.testDay, slot, spec.hgridId(hx, hy)))
+    for (h <- 0 until spec.totalHGrids) {
+      val i = mg(h)
+      e += math.abs(pred(i) / m(i) - cube(cfg.testDay, slot, h))
     }
     e
   }
@@ -132,7 +131,7 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     * (index = mcx·nSide + mcy) — the dispatch simulator's demand signal.
     */
   def testPredictions(nSide: Int, model: ModelTier): Map[Int, Array[Double]] = {
-    val spec = GridSpec(nSide, cfg.nTargetSide)
+    val spec = GridSpec(nSide, cube.side)
     bySlot(s => haPredict(spec, d => cube.blockSums(spec, d, s), model.k, cfg.testDay))
   }
 
@@ -140,7 +139,7 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     * data" dispatch variant (model error zero by construction).
     */
   def testActuals(nSide: Int): Map[Int, Array[Double]] = {
-    val spec = GridSpec(nSide, cfg.nTargetSide)
+    val spec = GridSpec(nSide, cube.side)
     bySlot(s => cube.blockSums(spec, cfg.testDay, s).map(_.toDouble))
   }
 

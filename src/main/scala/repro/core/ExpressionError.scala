@@ -256,7 +256,7 @@ object ExpressionError {
     val cellsPerM = spec.cellsPerM
     // HGrid ids grouped by MGrid (a stable sort keeps HGrid order inside
     // each), and where each MGrid's group starts
-    val byM = Array.range(0, spec.totalHGrids).sortBy(h => spec.mgridId(h / spec.hSide, h % spec.hSide))
+    val byM = Array.range(0, spec.totalHGrids).sortBy(spec.mgridOf(_))
     val start = cellsPerM.scanLeft(0)(_ + _)
     val maxM = cellsPerM.max
     val memo = new Memo

@@ -36,6 +36,11 @@ final case class GridSpec(nSide: Int, nTargetSide: Int) {
   /** Flattened HGrid id. */
   def hgridId(hx: Int, hy: Int): Int = hx * hSide + hy
 
+  /** MGrid id of each HGrid id: the one HGrid → MGrid map, which block sums,
+    * the expression-error kernel, real error and dispatch all index.
+    */
+  lazy val mgridOf: Array[Int] = Array.tabulate(totalHGrids)(h => mgridId(h / hSide, h % hSide))
+
   /** HGrid rows per MGrid row (axis block sizes; differ by ≤ 1). */
   lazy val axisCells: Array[Int] = {
     val a = new Array[Int](nSide)

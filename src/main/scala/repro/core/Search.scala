@@ -18,7 +18,6 @@ object Search {
 
   private final class Memo(f: Int => Double, lo: Int, hi: Int) {
     private val cache = mutable.Map.empty[Int, Double]
-    def clampEval(x: Int): Double = apply(math.max(lo, math.min(hi, x)))
     def apply(x: Int): Double = {
       require(x >= lo && x <= hi, s"nSide $x outside [$lo, $hi]")
       cache.getOrElseUpdate(x, f(x))

@@ -47,21 +47,16 @@ final class CountCube private (val side: Int, val days: Int, private val counts:
     }
   }
 
-  /** MGrid counts λ_i = Σ_j λ_ij of one (day, slot): straight sums over
-    * each MGrid's block of HGrids, indexed mx·nSide + my.
+  /** MGrid counts λ_i = Σ_j λ_ij of one (day, slot): each HGrid's count
+    * added to its MGrid ([[GridSpec.mgridOf]]), indexed mx·nSide + my.
     */
   def blockSums(spec: GridSpec, day: Int, slot: Int): Array[Long] = {
     require(spec.hSide == side, s"GridSpec on a ${spec.hSide}² HGrid lattice, the cube's is $side²")
-    val mOf = Array.tabulate(side)(spec.mOfH)
+    val mg = spec.mgridOf
     val out = new Array[Long](spec.n)
     val o = offset(day, slot)
-    var hx = 0
-    while (hx < side) {
-      val row = mOf(hx) * spec.nSide
-      var hy = 0
-      while (hy < side) { out(row + mOf(hy)) += counts(o + hx * side + hy); hy += 1 }
-      hx += 1
-    }
+    var h = 0
+    while (h < cells) { out(mg(h)) += counts(o + h); h += 1 }
     out
   }
 }

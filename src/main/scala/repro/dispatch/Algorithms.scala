@@ -1,5 +1,6 @@
 package repro.dispatch
 
+import repro.core.GridSpec
 import repro.data.{CityConfig, EventGen, GridCounts}
 
 import scala.collection.mutable
@@ -32,14 +33,13 @@ object Algorithms {
     */
   def fleetSize(city: CityConfig): Double = 0.8 * city.dailyOrders / CityConfig.Slots
 
-  def simConfig(city: CityConfig, spec: Spec, nSide: Int, fineSide: Int): SimConfig =
+  def simConfig(city: CityConfig, spec: Spec, grid: GridSpec): SimConfig =
     SimConfig(
-      fineSide = fineSide,
-      nSide = nSide,
+      grid = grid,
       workers = fleetSize(city),
       capacity = spec.capacity,
       farePriority = spec.farePriority,
-      cellKm = 0.5 * (city.widthKm + city.heightKm) / fineSide,
+      cellKm = 0.5 * (city.widthKm + city.heightKm) / grid.hSide,
     )
 
   /** `day`'s orders per slot on the fine lattice as (cell, fare), drawn
@@ -61,20 +61,21 @@ object Algorithms {
     }.toMap
   }
 
-  /** Run one algorithm over the given slots with per-slot predictions. */
+  /** Run one algorithm over the given slots with per-slot predictions;
+    * every slot needs a prediction, a slot without orders adds zeros.
+    */
   def runSlots(
       spec: Spec,
       city: CityConfig,
-      nSide: Int,
-      fineSide: Int,
+      grid: GridSpec,
       orders: Map[Int, Array[(Int, Double)]],
       preds: Map[Int, Array[Double]],
       slots: Seq[Int]): SimResult = {
-    val cfg = simConfig(city, spec, nSide, fineSide)
-    val empty = Array.fill(nSide * nSide)(0.0)
+    val cfg = simConfig(city, spec, grid)
     slots
       .map { s =>
-        DispatchSim.run(orders.getOrElse(s, Array.empty), preds.getOrElse(s, empty), cfg)
+        require(preds.contains(s), s"no demand prediction for slot $s")
+        DispatchSim.run(orders.getOrElse(s, Array.empty), preds(s), cfg)
       }
       .foldLeft(SimResult(0, 0, 0, 0, 0, 0))(_ + _)
   }

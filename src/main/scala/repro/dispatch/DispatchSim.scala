@@ -1,5 +1,7 @@
 package repro.dispatch
 
+import repro.core.GridSpec
+
 import scala.collection.mutable.ArrayBuffer
 
 /** Outcome of dispatching one time slot.
@@ -33,9 +35,8 @@ final case class SimResult(
 
 /** Simulator parameters.
   *
-  * @param fineSide     fixed evaluation lattice (independent of n — where
-  *                     orders actually land; defaults to √N)
-  * @param nSide        MGrid lattice of the demand prediction in use
+  * @param grid         MGrids of the demand prediction in use over the fixed
+  *                     HGrid lattice where orders land (independent of n)
   * @param workers      fleet size for the slot
   * @param capacity     riders per worker (1 = taxi, 2 = ride-sharing)
   * @param farePriority serve highest-fare orders first within a cell
@@ -43,8 +44,7 @@ final case class SimResult(
   * @param cellKm       physical size of a fine cell
   */
 final case class SimConfig(
-    fineSide: Int,
-    nSide: Int,
+    grid: GridSpec,
     workers: Double,
     capacity: Int = 1,
     farePriority: Boolean = false,
@@ -55,9 +55,9 @@ final case class SimConfig(
   * the paper's POLAR / LS / DAIF systems — DESIGN.md §3).
   *
   * Stage 1 (the part grid size affects): workers are pre-positioned
-  * proportionally to the predicted demand of each MGrid, split uniformly
-  * across the MGrid's fine cells — exactly the uniformity assumption whose
-  * cost the paper calls expression error. Stage 2: workers serve the fine
+  * proportionally to the predicted demand of each MGrid ([[GridSpec.mgridOf]]),
+  * split uniformly across its fine cells — exactly the uniformity assumption
+  * whose cost the paper calls expression error. Stage 2: workers serve the fine
   * cell they were placed in (POLAR's stage-1 commitment: commit to a grid,
   * then match). Each cell, in index order, serves min(orders, seats) of its
   * own orders at 0.5·cellKm of pickup travel each. With capacity > 1 a
@@ -71,9 +71,9 @@ final case class SimConfig(
 object DispatchSim {
 
   def run(orders: Array[(Int, Double)], preds: Array[Double], cfg: SimConfig): SimResult = {
-    val f = cfg.fineSide
-    val cells = f * f
-    require(preds.length == cfg.nSide * cfg.nSide, "preds must be per-MGrid")
+    val g = cfg.grid
+    val cells = g.totalHGrids
+    require(preds.length == g.n, "preds must be per-MGrid")
 
     // demand queues per fine cell
     val queues = Array.fill(cells)(new ArrayBuffer[Double]())
@@ -83,15 +83,11 @@ object DispatchSim {
     val servedPos = new Array[Double](cells) // fractional pointer into queue
 
     // supply: predicted MGrid share, uniform within the MGrid's fine cells
-    def mOf(cx: Int): Int = math.min(cfg.nSide - 1, cx * cfg.nSide / f)
-    val mIdx = Array.tabulate(cells)(c => mOf(c / f) * cfg.nSide + mOf(c % f))
-    val cellsPerM = new Array[Int](cfg.nSide * cfg.nSide)
-    mIdx.foreach(cellsPerM(_) += 1)
     val totalPred = preds.sum
     val supply = Array.tabulate(cells) { c =>
-      val m = mIdx(c)
-      val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / (cfg.nSide * cfg.nSide)
-      cfg.workers * share / cellsPerM(m)
+      val m = g.mgridOf(c)
+      val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / g.n
+      cfg.workers * share / g.cellsPerM(m)
     }
 
     var served = 0.0

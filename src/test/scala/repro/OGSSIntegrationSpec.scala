@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{Evaluator, EvalConfig, Search}
+import repro.core.{Evaluator, EvalConfig, GridSpec, Search}
 import repro.data.{CityConfig, EventGen}
 import repro.dispatch.Algorithms
 import repro.model.ModelTier
@@ -15,7 +15,7 @@ class OGSSIntegrationSpec extends SparkSpec {
   private val tiers = Seq(ModelTier("lastday", 1), ModelTier("ha8", 8))
 
   private lazy val ev = new Evaluator(EventOracle.cube(events, 16, toy.days),
-    EvalConfig(nTargetSide = 16, models = tiers, testDay = 11,
+    EvalConfig(models = tiers, testDay = 11,
       valDays = Seq(9, 10), trainWindow = 8))
 
   private val slot = 37 // evening peak
@@ -58,7 +58,7 @@ class OGSSIntegrationSpec extends SparkSpec {
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     assert(orders.nonEmpty)
     val preds = ev.testPredictions(4, tiers(1))
-    val res = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, preds, orders.keys.toSeq)
+    val res = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, preds, orders.keys.toSeq)
     assert(res.demand > 0)
     assert(res.served <= res.demand + 1e-9)
     assert(res.served > 0)
@@ -72,8 +72,8 @@ class OGSSIntegrationSpec extends SparkSpec {
     val actual = ev.testActuals(4)
     // adversarial predictions: reverse the per-MGrid demand ranking
     val reversed = actual.map { case (s, a) => s -> a.reverse }
-    val good = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, actual, slots)
-    val bad = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, reversed, slots)
+    val good = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, actual, slots)
+    val bad = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, reversed, slots)
     assert(good.served > bad.served, s"good=${good.served} bad=${bad.served}")
   }
 
@@ -82,8 +82,8 @@ class OGSSIntegrationSpec extends SparkSpec {
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
     val preds = ev.testPredictions(4, tiers(1))
-    val polar = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, preds, slots)
-    val ls = Algorithms.runSlots(Algorithms.Ls, toy, 4, fineSide, orders, preds, slots)
+    val polar = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, preds, slots)
+    val ls = Algorithms.runSlots(Algorithms.Ls, toy, GridSpec(4, fineSide), orders, preds, slots)
     assert(ls.revenue >= polar.revenue - 1e-6)
     assert(math.abs(ls.served - polar.served) < 1e-6) // same matching, different order
   }
@@ -93,8 +93,8 @@ class OGSSIntegrationSpec extends SparkSpec {
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
     val preds = ev.testPredictions(4, tiers(1))
-    val polar = Algorithms.runSlots(Algorithms.Polar, toy, 4, fineSide, orders, preds, slots)
-    val daif = Algorithms.runSlots(Algorithms.Daif, toy, 4, fineSide, orders, preds, slots)
+    val polar = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, preds, slots)
+    val daif = Algorithms.runSlots(Algorithms.Daif, toy, GridSpec(4, fineSide), orders, preds, slots)
     assert(daif.served >= polar.served - 1e-6)
   }
 }

@@ -19,7 +19,7 @@ class EvaluatorSpec extends SparkSpec {
 
   private def mkEval(computeReal: Boolean = true) =
     new Evaluator(cube,
-      EvalConfig(nTargetSide = 16, models = tiers, testDay = 11,
+      EvalConfig(models = tiers, testDay = 11,
         valDays = Seq(9, 10), trainWindow = 8, computeReal = computeReal))
 
   private lazy val ev = mkEval()
@@ -209,12 +209,8 @@ class EvaluatorSpec extends SparkSpec {
   }
 
   test("the evaluator rejects a config that does not fit its count cube") {
-    val side = intercept[IllegalArgumentException] {
-      new Evaluator(cube, EvalConfig(8, tiers, testDay = 11, valDays = Seq(9, 10), trainWindow = 8))
-    }
-    assert(side.getMessage.contains("nTargetSide 8"), side.getMessage)
     val day = intercept[IllegalArgumentException] {
-      new Evaluator(cube, EvalConfig(16, tiers, testDay = 12, valDays = Seq(9, 10), trainWindow = 8))
+      new Evaluator(cube, EvalConfig(tiers, testDay = 12, valDays = Seq(9, 10), trainWindow = 8))
     }
     assert(day.getMessage.contains("testDay 12"), day.getMessage)
   }
@@ -240,13 +236,19 @@ class EvaluatorSpec extends SparkSpec {
 
   test("EvalConfig validation") {
     assertThrows[IllegalArgumentException] {
-      EvalConfig(16, tiers, testDay = 5, valDays = Seq(9), trainWindow = 2)
+      EvalConfig(tiers, testDay = 5, valDays = Seq(9), trainWindow = 2)
     }
     assertThrows[IllegalArgumentException] {
-      EvalConfig(16, tiers, testDay = 11, valDays = Seq.empty, trainWindow = 2)
+      EvalConfig(tiers, testDay = 11, valDays = Seq.empty, trainWindow = 2)
     }
     assertThrows[IllegalArgumentException] {
-      EvalConfig(16, tiers, testDay = 11, valDays = Seq(9), trainWindow = 20)
+      EvalConfig(tiers, testDay = 11, valDays = Seq(9), trainWindow = 20)
     }
+    // HA(8) on validation day 5 would read days −3 until 5
+    val window = intercept[IllegalArgumentException] {
+      EvalConfig(tiers, testDay = 11, valDays = Seq(5), trainWindow = 2)
+    }
+    assert(window.getMessage.contains("validation day 5") && window.getMessage.contains("HA(8)"),
+      window.getMessage)
   }
 }

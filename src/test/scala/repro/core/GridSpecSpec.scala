@@ -41,6 +41,9 @@ class GridSpecSpec extends AnyFunSuite with PropChecks {
       for (hx <- 0 until spec.hSide; hy <- 0 until spec.hSide)
         counts(spec.mgridId(hx, hy)) += 1
       assert(counts.toSeq == spec.cellsPerM.toSeq, s"$spec")
+      assert(spec.mgridOf.length == spec.totalHGrids)
+      for (h <- 0 until spec.totalHGrids)
+        assert(spec.mgridOf(h) == spec.mgridId(h / spec.hSide, h % spec.hSide), s"$spec HGrid $h")
     }
   }
 

@@ -1,6 +1,7 @@
 package repro.dispatch
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.GridSpec
 import repro.data.CityConfig
 
 class AlgorithmsSpec extends AnyFunSuite {
@@ -18,8 +19,8 @@ class AlgorithmsSpec extends AnyFunSuite {
 
   test("simConfig wires city geometry and algorithm spec") {
     val c = CityConfig.toy
-    val cfg = Algorithms.simConfig(c, Algorithms.Daif, nSide = 8, fineSide = 16)
-    assert(cfg.nSide == 8 && cfg.fineSide == 16)
+    val cfg = Algorithms.simConfig(c, Algorithms.Daif, GridSpec(8, 16))
+    assert(cfg.grid == GridSpec(8, 16))
     assert(cfg.capacity == 2 && !cfg.farePriority)
     assert(math.abs(cfg.cellKm - 0.5 * (c.widthKm + c.heightKm) / 16) < 1e-12)
     assert(cfg.workers == Algorithms.fleetSize(c))
@@ -27,18 +28,24 @@ class AlgorithmsSpec extends AnyFunSuite {
 
   test("LS flips only the fare priority relative to POLAR") {
     val c = CityConfig.toy
-    val p = Algorithms.simConfig(c, Algorithms.Polar, 4, 16)
-    val l = Algorithms.simConfig(c, Algorithms.Ls, 4, 16)
+    val p = Algorithms.simConfig(c, Algorithms.Polar, GridSpec(4, 16))
+    val l = Algorithms.simConfig(c, Algorithms.Ls, GridSpec(4, 16))
     assert(p.copy(farePriority = true) == l)
   }
 
   test("runSlots sums slot results and tolerates missing slots") {
     val c = CityConfig.toy
+    val grid = GridSpec(2, 4)
     val orders = Map(0 -> Array((0, 10.0), (1, 12.0)))
-    val preds = Map(0 -> Array(1.0, 0.0, 0.0, 0.0))
-    val both = Algorithms.runSlots(Algorithms.Polar, c, 2, 4, orders, preds, Seq(0, 1))
-    val one = Algorithms.runSlots(Algorithms.Polar, c, 2, 4, orders, preds, Seq(0))
+    val preds = Map(0 -> Array(1.0, 0.0, 0.0, 0.0), 1 -> Array(0.0, 1.0, 0.0, 0.0))
+    val both = Algorithms.runSlots(Algorithms.Polar, c, grid, orders, preds, Seq(0, 1))
+    val one = Algorithms.runSlots(Algorithms.Polar, c, grid, orders, preds, Seq(0))
     assert(both == one) // slot 1 has no orders: contributes zeros
     assert(both.demand == 2.0)
+    // a slot without a prediction is a caller bug, not an all-zero forecast
+    val missing = intercept[IllegalArgumentException] {
+      Algorithms.runSlots(Algorithms.Polar, c, grid, orders, preds, Seq(0, 2))
+    }
+    assert(missing.getMessage.contains("slot 2"), missing.getMessage)
   }
 }

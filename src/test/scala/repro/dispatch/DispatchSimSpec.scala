@@ -1,7 +1,7 @@
 package repro.dispatch
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Rng
+import repro.core.{GridSpec, Rng}
 
 class DispatchSimSpec extends AnyFunSuite {
 
@@ -12,7 +12,7 @@ class DispatchSimSpec extends AnyFunSuite {
       workers: Double,
       cap: Int = 1,
       farePriority: Boolean = false) =
-    SimConfig(fineSide = F, nSide = nSide, workers = workers, capacity = cap,
+    SimConfig(GridSpec(nSide, F), workers = workers, capacity = cap,
       farePriority = farePriority, cellKm = 0.5)
 
   private def ordersAt(cells: Seq[Int], fare: Double = 10.0): Array[(Int, Double)] =
@@ -49,6 +49,20 @@ class DispatchSimSpec extends AnyFunSuite {
     assert(math.abs(r.served - 8.0) < 1e-9)
     // supply in cell(0,0) is 10 ⇒ everything served at half-cell travel
     assert(math.abs(r.travelKm - 8 * 0.5 * 0.5) < 1e-9)
+  }
+
+  test("non-dividing nSide: workers spread over the MGrid's own 3×3 cells") {
+    // nSide=3 over F=8: axis blocks 3, 3, 2, so MGrid 0 is fine cells (0..2)×(0..2)
+    val preds = Array.tabulate(9)(i => if (i == 0) 1.0 else 0.0)
+    val r = DispatchSim.run(ordersAt(0 until F * F), preds, cfg(3, workers = 9))
+    assert(r.served == 9.0, s"served=${r.served}") // one worker in each of the 9 cells
+    assert(math.abs(r.travelKm - 9 * 0.5 * 0.5) < 1e-12)
+  }
+
+  test("a grid finer than the lattice is rejected") {
+    assertThrows[IllegalArgumentException] {
+      SimConfig(GridSpec(32, 16), workers = 1)
+    }
   }
 
   test("misallocated prediction strands workers and loses matches") {
