@@ -11,16 +11,13 @@ package repro.core
   * belongs to MGrid row `h·nSide / √N`. When nSide ∤ √N, blocks differ by
   * one row/column and `m` varies per MGrid (exposed via [[cellsPerM]]).
   *
-  * @param nSide        MGrids per axis (√n), 1 ≤ nSide ≤ √N
-  * @param nTargetSide  √N — HGrid lattice side (paper: 128; bench: 64)
+  * @param nSide  MGrids per axis (√n), 1 ≤ nSide ≤ √N
+  * @param hSide  √N — HGrid lattice side, fixed for every n (paper: 128;
+  *               bench: 64)
   */
-final case class GridSpec(nSide: Int, nTargetSide: Int) {
+final case class GridSpec(nSide: Int, hSide: Int) {
   require(nSide >= 1, s"nSide must be >= 1, got $nSide")
-  require(nTargetSide >= nSide,
-    s"nSide=$nSide exceeds the HGrid budget side $nTargetSide (needs n ≤ N)")
-
-  /** HGrid lattice side — fixed at √N for every n. */
-  val hSide: Int = nTargetSide
+  require(hSide >= nSide, s"nSide=$nSide exceeds the HGrid budget side $hSide (needs n ≤ N)")
 
   /** n — number of MGrids. */
   def n: Int = nSide * nSide

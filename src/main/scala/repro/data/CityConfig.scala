@@ -94,10 +94,6 @@ final case class CityConfig(
     */
   def mu(slot: Int, cell: Int): Double =
     dailyOrders * slotProfile(slot) * cellShares(cell)
-
-  /** Expected events in `cell` during `slot` on a specific day. */
-  def mu(day: Int, slot: Int, cell: Int): Double =
-    dailyOrders * slotProfile(slot) * sharesForDay(day)(cell)
 }
 
 object CityConfig {

@@ -20,10 +20,17 @@ final class CountCube private (val side: Int, val days: Int, private val counts:
 
   val cells: Int = side * side
 
-  private def offset(day: Int, slot: Int): Int = (day * CityConfig.Slots + slot) * cells
+  private def offset(day: Int, slot: Int): Int = {
+    require(day >= 0 && day < days, s"day $day is outside the cube's days 0 until $days")
+    require(slot >= 0 && slot < CityConfig.Slots, s"slot $slot is outside slots 0 until ${CityConfig.Slots}")
+    (day * CityConfig.Slots + slot) * cells
+  }
 
   /** Events of `day` and `slot` in HGrid `cell`. */
-  def apply(day: Int, slot: Int, cell: Int): Int = counts(offset(day, slot) + cell)
+  def apply(day: Int, slot: Int, cell: Int): Int = {
+    require(cell >= 0 && cell < cells, s"cell $cell is outside the $side² lattice")
+    counts(offset(day, slot) + cell)
+  }
 
   /** Events in the whole cube. */
   def total: Long = counts.foldLeft(0L)(_ + _)
@@ -64,7 +71,7 @@ final class CountCube private (val side: Int, val days: Int, private val counts:
 object CountCube {
 
   /** `city`'s counts on a `side` lattice, straight from the generator's
-    * draws ([[EventGen.drawCell]]), days in parallel on the JDK's common
+    * draws ([[EventGen.drawDay]]), days in parallel on the JDK's common
     * pool. Each event lands in HGrid [[GridCounts.cellIdx]] of its own
     * x and y, so the cube equals counting the Spark events with
     * [[GridCounts.at]], cell for cell, at any side.
@@ -72,15 +79,9 @@ object CountCube {
   def generate(city: CityConfig, side: Int): CountCube = {
     require(side >= 1, s"empty lattice side $side")
     val cube = new CountCube(side, city.days, new Array[Int](city.days * CityConfig.Slots * side * side))
-    val genCells = city.genSide * city.genSide
     IntStream.range(0, city.days).parallel().forEach { day =>
-      val shares = city.sharesForDay(day)
-      for (slot <- 0 until CityConfig.Slots) {
-        val o = cube.offset(day, slot)
-        for (cell <- 0 until genCells)
-          EventGen.drawCell(city, shares, day, slot, cell, trips = false) { (x, y, _) =>
-            cube.counts(o + GridCounts.cellIdx(x, side) * side + GridCounts.cellIdx(y, side)) += 1
-          }
+      EventGen.drawDay(city, day, trips = false) { (slot, x, y, _) =>
+        cube.counts(cube.offset(day, slot) + GridCounts.cellIdx(x, side) * side + GridCounts.cellIdx(y, side)) += 1
       }
     }
     cube

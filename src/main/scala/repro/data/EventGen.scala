@@ -30,66 +30,53 @@ object EventGen {
   /** The fare of a trip of `km` kilometres. */
   def fare(km: Double): Double = FareBase + FarePerKm * km
 
-  /** Receives one drawn event: its position and its trip length in km
-    * (NaN when trips are not drawn).
+  /** Receives one drawn event: its slot, its position and its trip length
+    * in km (NaN when trips are not drawn).
     */
-  trait Sink { def apply(x: Double, y: Double, km: Double): Unit }
+  trait Sink { def apply(slot: Int, x: Double, y: Double, km: Double): Unit }
 
-  /** Draws the events of generation cell `cell` on `day` in `slot`, where
-    * `shares` is `city.sharesForDay(day)`: a Poisson(μ) count, then per
-    * event a uniform position inside the cell and, if `trips`, a lognormal
-    * trip length. Feeds each event to `sink`.
+  /** Draws every event of `city` on `day`: per slot and generation cell a
+    * Poisson(μ) count, then per event a uniform position inside the cell
+    * and, if `trips`, a lognormal trip length. Feeds each event to `sink`
+    * in (slot, cell, event) order.
     *
     * This is the one generation routine: the Spark [[events]],
     * [[CountCube.generate]] and `Algorithms.orders` all call it, so they
     * agree event for event.
     */
-  def drawCell(city: CityConfig, shares: Array[Double], day: Int, slot: Int, cell: Int,
-               trips: Boolean)(sink: Sink): Unit = {
+  def drawDay(city: CityConfig, day: Int, trips: Boolean)(sink: Sink): Unit = {
+    require(day >= 0 && day < city.days, s"day $day is outside ${city.name}'s days 0 until ${city.days}")
     val g = city.genSide
-    val mu = city.dailyOrders * city.slotProfile(slot) * shares(cell)
-    val cnt = Rng.poisson(mu, Rng.key(city.seed, day, slot, cell))
-    val cx = cell / g
-    val cy = cell % g
-    var e = 0
-    while (e < cnt) {
-      val ek = Rng.key(city.seed, day, slot, cell, 7777L + e)
-      val km =
-        if (!trips) Double.NaN
-        else math.min(60.0, math.max(0.4, math.exp(city.logKmMean + city.logKmSigma * Rng.gaussian(ek, 2))))
-      sink((cx + Rng.uniform(ek, 0)) / g, (cy + Rng.uniform(ek, 1)) / g, km)
-      e += 1
+    val shares = city.sharesForDay(day)
+    for (slot <- 0 until CityConfig.Slots; cell <- 0 until g * g) {
+      val mu = city.dailyOrders * city.slotProfile(slot) * shares(cell)
+      val cnt = Rng.poisson(mu, Rng.key(city.seed, day, slot, cell))
+      val cx = cell / g
+      val cy = cell % g
+      var e = 0
+      while (e < cnt) {
+        val ek = Rng.key(city.seed, day, slot, cell, 7777L + e)
+        val km =
+          if (!trips) Double.NaN
+          else math.min(60.0, math.max(0.4, math.exp(city.logKmMean + city.logKmSigma * Rng.gaussian(ek, 2))))
+        sink(slot, (cx + Rng.uniform(ek, 0)) / g, (cy + Rng.uniform(ek, 1)) / g, km)
+        e += 1
+      }
     }
   }
 
-  /** All events of `city` as a Dataset, one Spark task per partition of the
-    * (day × slot × generation cell) range. Only tests, the `D_α` sweep and
-    * stand-alone layer timings need point events; the experiments read
-    * counts and orders drawn on the driver.
+  /** All events of `city` as a Dataset, one row of `range` per day. Only
+    * tests, the `D_α` sweep and stand-alone layer timings need point
+    * events; the experiments read counts and orders drawn on the driver.
     */
   def events(spark: SparkSession, city: CityConfig): Dataset[Event] = {
     import spark.implicits._
-    val cells = city.genSide.toLong * city.genSide
-    val slots = CityConfig.Slots
-
-    spark
-      .range(city.days.toLong * slots * cells)
-      .mapPartitions { iter =>
-        // per-day spatial shares (hotspots jitter daily); cached per task
-        val shareCache = mutable.Map.empty[Int, Array[Double]]
-        iter.flatMap { boxedId =>
-          val id: Long = boxedId
-          val cell = (id % cells).toInt
-          val slot = ((id / cells) % slots).toInt
-          val day = (id / (cells * slots)).toInt
-          val shares = shareCache.getOrElseUpdate(day, city.sharesForDay(day))
-          val out = mutable.ArrayBuffer.empty[Event]
-          drawCell(city, shares, day, slot, cell, trips = true) { (x, y, km) =>
-            out += Event(day, slot, x, y, km, fare(km))
-          }
-          out
-        }
-      }
+    spark.range(city.days).flatMap { boxedDay =>
+      val day = boxedDay.intValue
+      val out = mutable.ArrayBuffer.empty[Event]
+      drawDay(city, day, trips = true)((slot, x, y, km) => out += Event(day, slot, x, y, km, fare(km)))
+      out
+    }
   }
 
   def eventsDf(spark: SparkSession, city: CityConfig): DataFrame =

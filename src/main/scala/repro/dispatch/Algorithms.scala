@@ -43,21 +43,17 @@ object Algorithms {
     )
 
   /** `day`'s orders per slot on the fine lattice as (cell, fare), drawn
-    * straight from the generator ([[EventGen.drawCell]]), in a
+    * straight from the generator ([[EventGen.drawDay]]), in a
     * deterministic order (no intra-slot timestamps exist; ties broken by
     * coordinates). Slots without orders are absent.
     */
   def orders(city: CityConfig, day: Int, fineSide: Int): Map[Int, Array[(Int, Double)]] = {
-    val shares = city.sharesForDay(day)
-    (0 until CityConfig.Slots).flatMap { slot =>
-      val drawn = mutable.ArrayBuffer.empty[(Double, Double, Double)]
-      for (cell <- 0 until city.genSide * city.genSide)
-        EventGen.drawCell(city, shares, day, slot, cell, trips = true) { (x, y, km) =>
-          drawn += ((x, y, EventGen.fare(km)))
-        }
-      Option.when(drawn.nonEmpty)(slot -> drawn.sorted.map { case (x, y, fare) =>
+    val drawn = Array.fill(CityConfig.Slots)(mutable.ArrayBuffer.empty[(Double, Double, Double)])
+    EventGen.drawDay(city, day, trips = true)((slot, x, y, km) => drawn(slot) += ((x, y, EventGen.fare(km))))
+    drawn.indices.filter(drawn(_).nonEmpty).map { slot =>
+      slot -> drawn(slot).sorted.map { case (x, y, fare) =>
         (GridCounts.cellIdx(x, fineSide) * fineSide + GridCounts.cellIdx(y, fineSide), fare)
-      }.toArray)
+      }.toArray
     }.toMap
   }
 

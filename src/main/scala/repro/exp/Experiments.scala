@@ -97,10 +97,11 @@ object Experiments {
   // ------------------------------------------------------------- dispatch
 
   /** Memoizing dispatch runner: simulates an algorithm at a grid size over
-    * any slot subset of the city's test-day orders ([[Env.orders]]), with
-    * per-`nSide` prediction extraction cached.
+    * any slot subset of the city's test-day orders ([[Env.orders]], read on
+    * construction), with per-`nSide` prediction extraction cached.
     */
   final class Dispatcher(env: Env, model: ModelTier) {
+    private val orders = env.orders
     private val ev = env.evaluator(Seq(model), computeReal = false)
     private val predCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
     private val actCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
@@ -114,7 +115,7 @@ object Experiments {
     def run(spec: Algorithms.Spec, nSide: Int, slots: Seq[Int] = AllSlots,
             useActuals: Boolean = false): SimResult = {
       val p = if (useActuals) actuals(nSide) else preds(nSide)
-      Algorithms.runSlots(spec, env.city, GridSpec(nSide, env.cube.side), env.orders, p, slots)
+      Algorithms.runSlots(spec, env.city, GridSpec(nSide, env.cube.side), orders, p, slots)
     }
 
     def servedOneSlot(nSide: Int, slot: Int): Double = run(Algorithms.Polar, nSide, Seq(slot)).served

@@ -39,8 +39,9 @@ class CityJitterSpec extends AnyFunSuite {
   }
 
   test("daily per-day mu still integrates to dailyOrders") {
+    val shares = base.sharesForDay(2)
     val total = (0 until CityConfig.Slots).map { slot =>
-      (0 until base.genSide * base.genSide).map(c => base.mu(2, slot, c)).sum
+      shares.map(base.dailyOrders * base.slotProfile(slot) * _).sum
     }.sum
     assert(math.abs(total - base.dailyOrders) < 1e-6)
   }

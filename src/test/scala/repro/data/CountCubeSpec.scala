@@ -111,7 +111,16 @@ class CountCubeSpec extends SparkSpec {
     assert(msg((-1, 0, 0, 0, 1L)).contains("day -1"))
     assert(msg((0, 48, 0, 0, 1L)).contains("slot 48"))
     assert(msg((0, 0, 4, 0, 1L)).contains("(4, 0)"))
-    assert(CountCube.fromRows(4, 2, Seq((1, 47, 3, 3, 5L)))(1, 47, 15) == 5)
+    val cube = CountCube.fromRows(4, 2, Seq((1, 47, 3, 3, 5L)))
+    assert(cube(1, 47, 15) == 5)
+    def readMsg(read: => Any): String = intercept[IllegalArgumentException](read).getMessage
+    assert(readMsg(cube(2, 0, 0)).contains("day 2"))
+    assert(readMsg(cube(-1, 0, 0)).contains("day -1"))
+    assert(readMsg(cube(0, 48, 0)).contains("slot 48"))
+    assert(readMsg(cube(0, 0, 16)).contains("cell 16"))
+    assert(readMsg(cube(0, 0, -1)).contains("cell -1"))
+    assert(readMsg(cube.blockSums(GridSpec(2, 4), 0, 48)).contains("slot 48"))
+    assert(readMsg(cube.blockSums(GridSpec(2, 4), 2, 0)).contains("day 2"))
   }
 
   test("alpha() rejects an empty or out-of-range window") {

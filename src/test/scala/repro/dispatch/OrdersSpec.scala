@@ -21,6 +21,14 @@ class OrdersSpec extends SparkSpec {
     assertSameOrders(CityConfig.toy, day = 3, fineSide = 64)
   }
 
+  test("orders for a day the city does not have are rejected, naming the day and the city") {
+    val toy = CityConfig.toy
+    for (day <- Seq(toy.days, 34, -1)) {
+      val e = intercept[IllegalArgumentException](Algorithms.orders(toy, day, 16))
+      assert(e.getMessage.contains(s"day $day") && e.getMessage.contains(toy.name), e.getMessage)
+    }
+  }
+
   test("the drawn orders equal ordersBySlot over the Spark events on a reduced preset") {
     val c = CityConfig.chengdu
     assertSameOrders(c.copy(days = 2, dailyOrders = c.dailyOrders * 0.02), day = 1, fineSide = 64)
