@@ -3,6 +3,7 @@ package repro.core
 import repro.data.{CityConfig, CountCube}
 import repro.model.ModelTier
 
+import java.util.stream.IntStream
 import scala.collection.mutable
 
 /** Errors of one (grid size, time slot) configuration, summed over all
@@ -48,8 +49,8 @@ final case class EvalConfig(
   * Reads the city's [[CountCube]], built once per city; nothing here runs
   * a Spark job. The α surface is summed once per evaluator. Each new
   * grid size then costs plain array arithmetic over the cube: MGrid block
-  * sums, HA(k) predictions, Eq. 20 model error and test-day real error,
-  * plus the expression-error kernel (parallel over slots). Search
+  * sums, HA(k) predictions, Eq. 20 model error, test-day real error and
+  * the expression-error kernel, in one parallel pass over the slots. Search
   * algorithms pay one evaluation per *distinct* grid size they visit, the
   * cost unit of the paper's Table IV.
   */
@@ -76,30 +77,41 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
   /** α_ij over the train window, per slot (n-independent). */
   private lazy val alpha = cube.alpha(cfg.testDay - cfg.trainWindow, cfg.testDay)
 
+  /** One parallel pass over the slots (the JDK's common pool); each slot
+    * task computes everything of its own slot, and the tasks share one
+    * expression-error [[ExpressionError.Memo]].
+    */
   private def compute(nSide: Int): Map[Int, SlotEval] = {
     val spec = GridSpec(nSide, cube.side)
-    val exprErr = ExpressionError.totalPerSlot(alpha, spec)
+    val memo = ExpressionError.memoFor(alpha)
+    val out = new Array[SlotEval](CityConfig.Slots)
+    IntStream.range(0, CityConfig.Slots).parallel().forEach(s => out(s) = evalSlot(spec, s, memo))
+    out.iterator.map(e => e.slot -> e).toMap
+  }
+
+  /** Block sums, HA(k) predictions, model error (Eq. 20), test-day real
+    * error and expression error of one slot.
+    */
+  private def evalSlot(spec: GridSpec, s: Int, memo: ExpressionError.Memo): SlotEval = {
     val firstDay = (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max
-    (0 until CityConfig.Slots).map { s =>
-      val mgrid = (firstDay to cfg.testDay).map(d => cube.blockSums(spec, d, s))
-      val counts: Int => Array[Long] = d => mgrid(d - firstDay)
-      // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
-      val modelErr = cfg.models.map { mt =>
-        mt.name -> cfg.valDays.map { d =>
-          val pred = haPredict(spec, counts, mt.k, d)
-          val act = counts(d)
-          var e = 0.0
-          var i = 0
-          while (i < spec.n) { e += math.abs(pred(i) - act(i)); i += 1 }
-          e
-        }.sum / cfg.valDays.size
-      }.toMap
-      val realErr = cfg.models.map { mt =>
-        mt.name -> (if (!cfg.computeReal) 0.0
-          else testDayRealErr(spec, s, haPredict(spec, counts, mt.k, cfg.testDay)))
-      }.toMap
-      s -> SlotEval(s, exprErr(s), modelErr, realErr)
+    val mgrid = (firstDay to cfg.testDay).map(d => cube.blockSums(spec, d, s))
+    val counts: Int => Array[Long] = d => mgrid(d - firstDay)
+    // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
+    val modelErr = cfg.models.map { mt =>
+      mt.name -> cfg.valDays.map { d =>
+        val pred = haPredict(spec, counts, mt.k, d)
+        val act = counts(d)
+        var e = 0.0
+        var i = 0
+        while (i < spec.n) { e += math.abs(pred(i) - act(i)); i += 1 }
+        e
+      }.sum / cfg.valDays.size
     }.toMap
+    val realErr = cfg.models.map { mt =>
+      mt.name -> (if (!cfg.computeReal) 0.0
+        else testDayRealErr(spec, s, haPredict(spec, counts, mt.k, cfg.testDay)))
+    }.toMap
+    SlotEval(s, ExpressionError.slotTotal(alpha(s), spec, memo), modelErr, realErr)
   }
 
   /** HA(k) prediction of day `d` per MGrid: the mean of days d−k … d−1. */

@@ -49,4 +49,28 @@ final case class GridSpec(nSide: Int, hSide: Int) {
   /** m of each MGrid (flattened id → its HGrid count). */
   lazy val cellsPerM: Array[Int] =
     Array.tabulate(n)(id => axisCells(id / nSide) * axisCells(id % nSide))
+
+  /** Where each MGrid's group starts in [[hgridsByM]]; `n + 1` entries, the
+    * last being N.
+    */
+  lazy val mStart: Array[Int] = cellsPerM.scanLeft(0)(_ + _)
+
+  /** HGrid ids grouped by MGrid: MGrid i's HGrids, in HGrid order, are
+    * `hgridsByM(mStart(i) until mStart(i + 1))`.
+    */
+  lazy val hgridsByM: Array[Int] = {
+    val next = mStart.clone()
+    val out = new Array[Int](totalHGrids)
+    var h = 0
+    while (h < totalHGrids) {
+      val i = mgridOf(h)
+      out(next(i)) = h
+      next(i) += 1
+      h += 1
+    }
+    out
+  }
+
+  /** The largest m of any MGrid. */
+  lazy val maxM: Int = cellsPerM.max
 }

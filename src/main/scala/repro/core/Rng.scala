@@ -18,12 +18,17 @@ object Rng {
     z ^ (z >>> 31)
   }
 
+  /** The key of no parts: where every [[key]] chain starts. */
+  final val KeySeed = 0x632be59bd9b4e019L
+
+  /** The key of `h`'s parts followed by `part`: `key(p1, …, pk, part) ==
+    * extend(key(p1, …, pk), part)`. Loops that share a key prefix carry it
+    * and extend it by one part per level.
+    */
+  def extend(h: Long, part: Long): Long = mix64(h ^ part)
+
   /** Combine key parts into one 64-bit seed (order-sensitive). */
-  def key(parts: Long*): Long = {
-    var h = 0x632be59bd9b4e019L
-    parts.foreach { p => h = mix64(h ^ p) }
-    h
-  }
+  def key(parts: Long*): Long = parts.foldLeft(KeySeed)(extend)
 
   /** Uniform double in [0, 1) from a key, stream index `i` for multiple draws. */
   def uniform(k: Long, i: Long = 0): Double =
@@ -41,9 +46,13 @@ object Rng {
     * Knuth's product method below mu=64 (exact); above that a rounded
     * normal approximation, whose relative moment error is < 1% — fine for
     * a data generator (the analysis layer never samples, it integrates).
+    * Knuth's product stops at 0 when the first uniform is ≤ e^{−mu}; since
+    * e^{−mu} > 1 − mu, a first uniform ≤ 1 − mu − 1e-9 (the margin covers
+    * both roundings) returns 0 without the `exp`, the same draw.
     */
   def poisson(mu: Double, k: Long): Int = {
     if (mu <= 0.0) 0
+    else if (uniform(k, 0) <= 1.0 - mu - 1e-9) 0
     else if (mu < 64.0) {
       val l = math.exp(-mu)
       var p = 1.0

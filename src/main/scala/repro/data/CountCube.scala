@@ -37,21 +37,24 @@ final class CountCube private (val side: Int, val days: Int, private val counts:
 
   /** α_ij of every slot and HGrid (`alpha(slot)(cell)`): the count summed
     * over days [dayFrom, dayUntil), then ÷ the number of days, the same
-    * arithmetic as [[GridCounts.alpha]].
+    * arithmetic as [[GridCounts.alpha]]. Slots run in parallel on the
+    * JDK's common pool.
     */
   def alpha(dayFrom: Int, dayUntil: Int): Array[Array[Double]] = {
     require(dayFrom >= 0 && dayUntil <= days && dayUntil > dayFrom,
       s"train window [$dayFrom, $dayUntil) is empty or outside days 0 until $days")
     val nDays = (dayUntil - dayFrom).toDouble
-    Array.tabulate(CityConfig.Slots) { s =>
+    val out = new Array[Array[Double]](CityConfig.Slots)
+    IntStream.range(0, CityConfig.Slots).parallel().forEach { s =>
       val sum = new Array[Long](cells)
       for (d <- dayFrom until dayUntil) {
         val o = offset(d, s)
         var c = 0
         while (c < cells) { sum(c) += counts(o + c); c += 1 }
       }
-      sum.map(_ / nDays)
+      out(s) = sum.map(_ / nDays)
     }
+    out
   }
 
   /** MGrid counts λ_i = Σ_j λ_ij of one (day, slot): each HGrid's count

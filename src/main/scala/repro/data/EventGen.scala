@@ -48,20 +48,30 @@ object EventGen {
     require(day >= 0 && day < city.days, s"day $day is outside ${city.name}'s days 0 until ${city.days}")
     val g = city.genSide
     val shares = city.sharesForDay(day)
-    for (slot <- 0 until CityConfig.Slots; cell <- 0 until g * g) {
-      val mu = city.dailyOrders * city.slotProfile(slot) * shares(cell)
-      val cnt = Rng.poisson(mu, Rng.key(city.seed, day, slot, cell))
-      val cx = cell / g
-      val cy = cell % g
-      var e = 0
-      while (e < cnt) {
-        val ek = Rng.key(city.seed, day, slot, cell, 7777L + e)
-        val km =
-          if (!trips) Double.NaN
-          else math.min(60.0, math.max(0.4, math.exp(city.logKmMean + city.logKmSigma * Rng.gaussian(ek, 2))))
-        sink(slot, (cx + Rng.uniform(ek, 0)) / g, (cy + Rng.uniform(ek, 1)) / g, km)
-        e += 1
+    // Rng.key(seed, day, slot, cell[, 7777 + e]), one extend per loop level
+    val dayKey = Rng.key(city.seed, day)
+    var slot = 0
+    while (slot < CityConfig.Slots) {
+      val slotKey = Rng.extend(dayKey, slot)
+      val slotMu = city.dailyOrders * city.slotProfile(slot)
+      var cell = 0
+      while (cell < g * g) {
+        val cellKey = Rng.extend(slotKey, cell)
+        val cnt = Rng.poisson(slotMu * shares(cell), cellKey)
+        val cx = cell / g
+        val cy = cell % g
+        var e = 0
+        while (e < cnt) {
+          val ek = Rng.extend(cellKey, 7777L + e)
+          val km =
+            if (!trips) Double.NaN
+            else math.min(60.0, math.max(0.4, math.exp(city.logKmMean + city.logKmSigma * Rng.gaussian(ek, 2))))
+          sink(slot, (cx + Rng.uniform(ek, 0)) / g, (cy + Rng.uniform(ek, 1)) / g, km)
+          e += 1
+        }
+        cell += 1
       }
+      slot += 1
     }
   }
 

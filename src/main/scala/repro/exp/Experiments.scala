@@ -98,13 +98,14 @@ object Experiments {
 
   /** Memoizing dispatch runner: simulates an algorithm at a grid size over
     * any slot subset of the city's test-day orders ([[Env.orders]], read on
-    * construction), with per-`nSide` prediction extraction cached.
+    * construction), with per-`nSide` predictions and [[GridSpec]]s cached.
     */
   final class Dispatcher(env: Env, model: ModelTier) {
     private val orders = env.orders
     private val ev = env.evaluator(Seq(model), computeReal = false)
     private val predCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
     private val actCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
+    private val specs = mutable.Map.empty[Int, GridSpec]
 
     def preds(nSide: Int): Map[Int, Array[Double]] =
       predCache.getOrElseUpdate(nSide, ev.testPredictions(nSide, model))
@@ -115,7 +116,8 @@ object Experiments {
     def run(spec: Algorithms.Spec, nSide: Int, slots: Seq[Int] = AllSlots,
             useActuals: Boolean = false): SimResult = {
       val p = if (useActuals) actuals(nSide) else preds(nSide)
-      Algorithms.runSlots(spec, env.city, GridSpec(nSide, env.cube.side), orders, p, slots)
+      val grid = specs.getOrElseUpdate(nSide, GridSpec(nSide, env.cube.side))
+      Algorithms.runSlots(spec, env.city, grid, orders, p, slots)
     }
 
     def servedOneSlot(nSide: Int, slot: Int): Double = run(Algorithms.Polar, nSide, Seq(slot)).served

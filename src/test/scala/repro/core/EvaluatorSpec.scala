@@ -2,8 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{EventOracle, Oracle, SparkSpec}
-import repro.data.{CityConfig, EventGen, GridCounts}
-import repro.model.ModelTier
+import repro.data.{CityConfig, CountCube, EventGen, GridCounts}
+import repro.model.{ModelTier, Models}
+
+import java.util.concurrent.{Callable, ForkJoinPool}
 
 /** Integration tests of the Algorithm-3 evaluator on the toy city. */
 class EvaluatorSpec extends SparkSpec {
@@ -232,6 +234,21 @@ class EvaluatorSpec extends SparkSpec {
       .map(r => (r.getInt(0), r.getInt(1) * 4 + r.getInt(2)) -> r.getLong(3).toDouble).toMap
     for (s <- 0 until 48; i <- 0 until 16)
       assert(act(s)(i) == direct.getOrElse((s, i), 0.0), s"slot $s MGrid $i")
+  }
+
+  test("an evaluation does not depend on parallelism") {
+    // 10% Xi'an on the 64² lattice, with the experiments' protocol
+    val xian = CountCube.generate(CityConfig.xian.copy(dailyOrders = 11000), 64)
+    def evalAll(): Seq[Map[Int, SlotEval]] = {
+      val ev = new Evaluator(xian,
+        EvalConfig(Models.all, testDay = 34, valDays = 29 to 33, trainWindow = 28, computeReal = true))
+      Seq(1, 5, 16, 32).map(ev(_)) // 5 does not divide 64
+    }
+    val pool = new ForkJoinPool(1)
+    val oneThread =
+      try pool.submit(new Callable[Seq[Map[Int, SlotEval]]] { def call() = evalAll() }).get()
+      finally pool.shutdown()
+    assert(evalAll() == oneThread)
   }
 
   test("EvalConfig validation") {

@@ -248,6 +248,16 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     }
   }
 
+  test("slotTotal's per-MGrid lookup past its table equals mgridTotal bit for bit") {
+    // one MGrid of 1024 HGrids: 400 distinct α (more than the per-MGrid
+    // table holds), each repeated, with empty HGrids in between
+    val spec = GridSpec(1, 32)
+    val a = Array.tabulate(spec.totalHGrids)(h => if (h % 7 == 3) 0.0 else (h * 37 % 400 + 1) / 28.0)
+    val want = mgridTotal(a.filter(_ != 0.0), spec.totalHGrids)
+    assert(slotTotal(a, spec, new Memo) == want)
+    assert(totalPerSlot(Array(a, a.reverse), spec)(0) == want)
+  }
+
   test("mgridTotal on an empty MGrid is zero") {
     assert(mgridTotal(Array.empty[Double], 4) == 0.0)
     assert(mgridTotal(Array(0.0, 0.0), 4) == 0.0)

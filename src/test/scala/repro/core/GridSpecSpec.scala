@@ -63,6 +63,17 @@ class GridSpecSpec extends AnyFunSuite with PropChecks {
     assert(ids.min == 0 && ids.max == s.totalHGrids - 1)
   }
 
+  test("hgridsByM lists each MGrid's HGrids in HGrid order, from mStart") {
+    for (nSide <- Seq(1, 3, 5, 16)) {
+      val s = GridSpec(nSide, 16)
+      assert(s.mStart.length == s.n + 1 && s.mStart(s.n) == s.totalHGrids)
+      for (i <- 0 until s.n)
+        assert(s.hgridsByM.slice(s.mStart(i), s.mStart(i + 1)).toSeq ==
+          (0 until s.totalHGrids).filter(s.mgridOf(_) == i), s"nSide=$nSide, MGrid $i")
+      assert(s.maxM == s.cellsPerM.max)
+    }
+  }
+
   test("degenerate sizes rejected") {
     assertThrows[IllegalArgumentException](GridSpec(0, 16))
     assertThrows[IllegalArgumentException](GridSpec(17, 16)) // n > N

@@ -13,6 +13,14 @@ class RngSpec extends AnyFunSuite with PropChecks {
     assert(Rng.key(1, 2) != Rng.key(1, 3))
   }
 
+  test("key(parts*) is the extend chain from KeySeed") {
+    val parts = Seq(42L, 7L, 31L, 4095L, 7777L + 3)
+    assert(Rng.key() == Rng.KeySeed)
+    assert(Rng.key(parts: _*) ==
+      Rng.extend(Rng.extend(Rng.extend(Rng.extend(Rng.extend(Rng.KeySeed, 42L), 7L), 31L), 4095L), 7780L))
+    assert(Rng.key(parts: _*) == Rng.extend(Rng.key(parts.init: _*), parts.last))
+  }
+
   test("uniform stays in [0,1) and differs across stream indices") {
     val k = Rng.key(7)
     val us = (0 until 1000).map(i => Rng.uniform(k, i))
@@ -65,6 +73,19 @@ class RngSpec extends AnyFunSuite with PropChecks {
     val varr = xs.map(x => (x - mean) * (x - mean)).sum / n
     assert(math.abs(mean - mu) < 0.02 * mu)
     assert(math.abs(varr - mu) < 0.05 * mu)
+  }
+
+  test("poisson below mu = 64 is Knuth's product draw for draw") {
+    def knuth(mu: Double, k: Long): Int = {
+      val l = math.exp(-mu)
+      var p = 1.0
+      var n = 0
+      var i = 0L
+      while ({ p *= Rng.uniform(k, i); i += 1; p > l }) n += 1
+      n
+    }
+    for (mu <- Seq(1e-12, 1e-6, 0.01, 0.3, 0.999, 1.0, 2.5, 20.0, 63.9); k <- 0L until 20000L)
+      assert(Rng.poisson(mu, Rng.key(17, k)) == knuth(mu, Rng.key(17, k)), s"mu=$mu k=$k")
   }
 
   test("property: poisson never negative") {

@@ -2,11 +2,32 @@ package repro.data
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.Rng
 
 class EventGenSpec extends SparkSpec {
 
   private lazy val toy = CityConfig.toy
   private lazy val ev = EventGen.eventsDf(spark, toy).cache()
+
+  /** (events, fold of mix64(h ^ key(day, slot, x, y, km bits))) over every
+    * day's drawDay(trips = true) events, in draw order.
+    */
+  private def drawChecksum(city: CityConfig): (Long, Long) = {
+    def bits(v: Double): Long = java.lang.Double.doubleToLongBits(v)
+    var n = 0L
+    var h = 0L
+    for (day <- 0 until city.days)
+      EventGen.drawDay(city, day, trips = true) { (slot, x, y, km) =>
+        h = Rng.mix64(h ^ Rng.key(day, slot, bits(x), bits(y), bits(km)))
+        n += 1
+      }
+    (n, h)
+  }
+
+  test("drawDay's draws are pinned bit for bit") {
+    assert(drawChecksum(toy) == ((7090L, -1983611297225937234L)))
+    assert(drawChecksum(CityConfig.xian.copy(dailyOrders = 11000)) == ((384723L, -7502689092249372007L)))
+  }
 
   test("generation is deterministic in the city seed") {
     val again = EventGen.eventsDf(spark, toy)
