@@ -83,7 +83,7 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     */
   private def compute(nSide: Int): Map[Int, SlotEval] = {
     val spec = GridSpec(nSide, cube.side)
-    val memo = ExpressionError.memoFor(alpha)
+    val memo = new ExpressionError.Memo
     val out = new Array[SlotEval](CityConfig.Slots)
     IntStream.range(0, CityConfig.Slots).parallel().forEach(s => out(s) = evalSlot(spec, s, memo))
     out.iterator.map(e => e.slot -> e).toMap

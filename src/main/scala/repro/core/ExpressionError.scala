@@ -215,11 +215,10 @@ object ExpressionError {
   }
 
   /** [[auto]] values keyed on their exact arguments (α, A − α, m); safe to
-    * share between threads. `expected` bounds the number of distinct keys,
-    * so the table is sized once and never grows.
+    * share between threads.
     */
-  final class Memo(expected: Int = 16) {
-    private val values = new ConcurrentHashMap[Memo.Key, java.lang.Double](expected)
+  final class Memo {
+    private val values = new ConcurrentHashMap[Memo.Key, java.lang.Double]
     def apply(a: Double, b: Double, m: Int): Double =
       values.computeIfAbsent(new Memo.Key(a, b, m), _ => auto(a, b, m))
   }
@@ -241,70 +240,25 @@ object ExpressionError {
     }
   }
 
-  /** A memo sized for the α surfaces `alpha`: each present HGrid adds at
-    * most one key.
-    */
-  def memoFor(alpha: Array[Array[Double]]): Memo =
-    new Memo(alpha.iterator.map(_.count(_ != 0.0)).sum)
-
   /** Total expression error of one MGrid with present-HGrid means
     * `alphas` (absent HGrids are implicit zeros): Σ_j E_e(α_j, A−α_j, m)
-    * plus the exact A/m term for each of the (m − |alphas|) empty HGrids,
-    * summed term by term in order. The reference for the kernel's
-    * per-MGrid sums in [[slotTotal]].
+    * plus the exact A/m term for each of the (m − |alphas|) empty HGrids.
+    * α = count / days takes few distinct values, so `memo` computes each
+    * distinct kernel call once; the sum still runs term by term in order.
     */
-  def mgridTotal(alphas: Array[Double], m: Int, memo: Memo = new Memo): Double = {
-    require(alphas.length <= m, s"${alphas.length} HGrid means for m=$m")
-    val total = alphas.sum
+  def mgridTotal(alphas: Array[Double], m: Int, memo: Memo = new Memo): Double =
+    mgridTotal(alphas, alphas.length, m, memo)
+
+  /** [[mgridTotal]] of `alphas(0 until len)`. */
+  private def mgridTotal(alphas: Array[Double], len: Int, m: Int, memo: Memo): Double = {
+    require(len <= m, s"$len HGrid means for m=$m")
+    var total = 0.0
+    var j = 0
+    while (j < len) { total += alphas(j); j += 1 }
     var e = 0.0
-    alphas.foreach(a => e += memo(a, total - a, m))
-    e + (m - alphas.length) * (if (m == 1) 0.0 else total / m)
-  }
-
-  // the per-MGrid table holds up to TableSize / 2 distinct α
-  private final val TableBits = 9
-  private final val TableSize = 1 << TableBits
-
-  /** One slot task's buffers: an MGrid's present α, and an open-addressed
-    * table of that MGrid's distinct α and their kernel values. Equal α in
-    * one MGrid share the key (α, A − α, m), so each is looked up in the
-    * [[Memo]] once. An entry is live while its stamp is the current
-    * MGrid's; past TableSize / 2 distinct α, the rest go to the memo each
-    * time.
-    */
-  private final class Scratch(maxM: Int) {
-    val present = new Array[Double](maxM)
-    private val bits = new Array[Long](TableSize)
-    private val values = new Array[Double](TableSize)
-    private val stamp = new Array[Int](TableSize)
-    private var mgrid = 0
-    private var size = 0
-
-    /** [[mgridTotal]] of `present(0 until len)`, bit for bit. */
-    def mgridTotal(len: Int, m: Int, memo: Memo): Double = {
-      require(len <= m, s"$len HGrid means for m=$m")
-      var total = 0.0
-      var j = 0
-      while (j < len) { total += present(j); j += 1 }
-      mgrid += 1
-      size = 0
-      var e = 0.0
-      j = 0
-      while (j < len) { e += lookup(present(j), total, m, memo); j += 1 }
-      e + (m - len) * (if (m == 1) 0.0 else total / m)
-    }
-
-    private def lookup(a: Double, total: Double, m: Int, memo: Memo): Double = {
-      val k = java.lang.Double.doubleToLongBits(a)
-      var i = ((k * 0x9e3779b97f4a7c15L) >>> (64 - TableBits)).toInt
-      while (stamp(i) == mgrid && bits(i) != k) i = (i + 1) & (TableSize - 1)
-      if (stamp(i) == mgrid) values(i)
-      else {
-        val v = memo(a, total - a, m)
-        if (size < TableSize / 2) { stamp(i) = mgrid; bits(i) = k; values(i) = v; size += 1 }
-        v
-      }
-    }
+    j = 0
+    while (j < len) { e += memo(alphas(j), total - alphas(j), m); j += 1 }
+    e + (m - len) * (if (m == 1) 0.0 else total / m)
   }
 
   /** Expression error Σ_i Σ_j E_e(i,j) of one slot: `a` is the slot's dense
@@ -317,7 +271,7 @@ object ExpressionError {
     val byM = spec.hgridsByM
     val start = spec.mStart
     val cellsPerM = spec.cellsPerM
-    val scratch = new Scratch(spec.maxM)
+    val present = new Array[Double](spec.maxM)
     var e = 0.0
     var i = 0
     while (i < spec.n) {
@@ -325,10 +279,10 @@ object ExpressionError {
       var k = start(i)
       while (k < start(i + 1)) {
         val v = a(byM(k))
-        if (v != 0.0) { scratch.present(len) = v; len += 1 }
+        if (v != 0.0) { present(len) = v; len += 1 }
         k += 1
       }
-      e += scratch.mgridTotal(len, cellsPerM(i), memo)
+      e += mgridTotal(present, len, cellsPerM(i), memo)
       i += 1
     }
     e
@@ -338,7 +292,7 @@ object ExpressionError {
     * parallel on the JDK's common pool and share one [[Memo]].
     */
   def totalPerSlot(alpha: Array[Array[Double]], spec: GridSpec): Array[Double] = {
-    val memo = memoFor(alpha)
+    val memo = new Memo
     val out = new Array[Double](alpha.length)
     IntStream.range(0, alpha.length).parallel().forEach(s => out(s) = slotTotal(alpha(s), spec, memo))
     out

@@ -48,17 +48,18 @@ object Rng {
     * a data generator (the analysis layer never samples, it integrates).
     * Knuth's product stops at 0 when the first uniform is ≤ e^{−mu}; since
     * e^{−mu} > 1 − mu, a first uniform ≤ 1 − mu − 1e-9 (the margin covers
-    * both roundings) returns 0 without the `exp`, the same draw.
+    * both roundings) returns 0 without the `exp`, the same draw; otherwise
+    * the product goes on from that uniform.
     */
   def poisson(mu: Double, k: Long): Int = {
     if (mu <= 0.0) 0
-    else if (uniform(k, 0) <= 1.0 - mu - 1e-9) 0
     else if (mu < 64.0) {
+      var p = uniform(k, 0)
+      if (p <= 1.0 - mu - 1e-9) return 0
       val l = math.exp(-mu)
-      var p = 1.0
       var n = 0
-      var i = 0L
-      while ({ p *= uniform(k, i); i += 1; p > l }) n += 1
+      var i = 1L
+      while (p > l) { n += 1; p *= uniform(k, i); i += 1 }
       n
     } else {
       math.max(0L, math.round(mu + math.sqrt(mu) * gaussian(k))).toInt

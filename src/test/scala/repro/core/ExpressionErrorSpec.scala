@@ -248,9 +248,9 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     }
   }
 
-  test("slotTotal's per-MGrid lookup past its table equals mgridTotal bit for bit") {
-    // one MGrid of 1024 HGrids: 400 distinct α (more than the per-MGrid
-    // table holds), each repeated, with empty HGrids in between
+  test("slotTotal of one MGrid with repeated α and empty HGrids equals mgridTotal bit for bit") {
+    // one MGrid of 1024 HGrids: 400 distinct α, each repeated, with empty
+    // HGrids in between
     val spec = GridSpec(1, 32)
     val a = Array.tabulate(spec.totalHGrids)(h => if (h % 7 == 3) 0.0 else (h * 37 % 400 + 1) / 28.0)
     val want = mgridTotal(a.filter(_ != 0.0), spec.totalHGrids)
