@@ -17,7 +17,7 @@ object DispatchSweep {
     val nSides =
       if (args.length > 1) args(1).split(",").map(_.toInt).toSeq
       else Seq(4, 8, 12, 16, 24, 32, 48, 64)
-    val spark = SparkSession.builder.master("local[*]")
+    val spark = SparkSession.builder().master("local[*]")
       .appName("dispatch-sweep").config("spark.ui.enabled", false).getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try {

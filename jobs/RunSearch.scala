@@ -19,7 +19,7 @@ object RunSearch {
     val model = Models.byName(if (args.length > 1) args(1) else "ha4")
     val method = if (args.length > 2) args(2) else "iterative"
 
-    val spark = SparkSession.builder.appName(s"gridtuner-search-${city.name}").getOrCreate()
+    val spark = SparkSession.builder().appName(s"gridtuner-search-${city.name}").getOrCreate()
     try {
       val env = Experiments.prepare(spark, city)
       val ev = env.evaluator(Seq(model), computeReal = false)

@@ -12,7 +12,7 @@ import repro.exp.Experiments
 object RunTable3 {
   def main(args: Array[String]): Unit = {
     val city = CityConfig.byName(args.headOption.getOrElse("nyc"))
-    val spark = SparkSession.builder.appName(s"gridtuner-table3-${city.name}").getOrCreate()
+    val spark = SparkSession.builder().appName(s"gridtuner-table3-${city.name}").getOrCreate()
     try {
       val (optN, rows) = Experiments.table3(Experiments.prepare(spark, city))
       println(s"GridTuner optimal nSide (Iterative, ha4): $optN")

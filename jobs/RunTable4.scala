@@ -16,7 +16,7 @@ object RunTable4 {
       case name => Seq(CityConfig.byName(name))
     }
 
-    val spark = SparkSession.builder.appName("gridtuner-table4").getOrCreate()
+    val spark = SparkSession.builder().appName("gridtuner-table4").getOrCreate()
     try {
       println("City | Algorithm | Cost (s) | Evals | Probability | OR")
       for (c <- cities; r <- Experiments.table4(Experiments.prepare(spark, c))) {

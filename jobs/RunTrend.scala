@@ -17,7 +17,7 @@ object RunTrend {
     }
     val nSides = Seq(2, 3, 4, 6, 8, 12, 16, 20, 24, 28, 32)
 
-    val spark = SparkSession.builder.appName("gridtuner-trend").getOrCreate()
+    val spark = SparkSession.builder().appName("gridtuner-trend").getOrCreate()
     try {
       println("city | model | nSide | exprErr | modelErr | upper | realErr")
       for (c <- cities; r <- Experiments.trend(Experiments.prepare(spark, c), nSides)) {

@@ -1,51 +1,29 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
-/** Unevenness metric D_α(N) (paper Eq. 2) and the N-selection rule of
-  * §III-A: D_α grows with N while HGrids are still heterogeneous and
-  * plateaus once they are uniform (Theorem III.1), so a suitable N is the
-  * knee of the D_α(N) curve.
+/** Unevenness D_α(N) of one slot's α surface (paper Eq. 2).
+  *
+  * D_α grows with N while HGrids are still heterogeneous and stops growing
+  * once they are uniform (Theorem III.1); §III-A picks N at the knee of
+  * that curve. The HGrid budget here is fixed at N = 64², the generators'
+  * lattice, not chosen by that rule: on α estimated from the cube, D_α
+  * keeps rising past 64² from Poisson noise alone, and a 5% knee lands at
+  * 16² / 8² / 8² (NYC / Chengdu / Xi'an), where the cities' structure is
+  * already resolved (EXPERIMENTS.md, "D_α and the HGrid budget").
+  *
+  * Callers compute it on the driver, one value per slot:
+  * `cube.alpha(from, until).map(Dalpha.of)`.
   */
 object Dalpha {
 
-  /** D_α per slot for a sparse α lattice of side `side`.
-    *
-    * ᾱ_N = (Σ α)/N with N = side²; absent cells contribute |0 − ᾱ_N| = ᾱ_N
-    * each, so D_α = Σ_present |α − ᾱ| + (N − present)·ᾱ.
-    *
-    * @param alphaDf (slot, cx, cy, alpha), sparse
-    * @return (slot, dAlpha)
+  /** D_α = Σ_c |α_c − ᾱ| with ᾱ = Σ α / N, over a dense lattice of
+    * N = `alpha.length` HGrids (empty HGrids are zeros).
     */
-  def perSlot(alphaDf: DataFrame, side: Int): DataFrame = {
-    val n = side.toLong * side
-    val mean = alphaDf
-      .groupBy(col("slot"))
-      .agg((sum(col("alpha")) / n).as("meanAlpha"), count(lit(1)).as("present"))
-    alphaDf
-      .join(mean, Seq("slot"))
-      .groupBy(col("slot"), col("meanAlpha"), col("present"))
-      .agg(sum(abs(col("alpha") - col("meanAlpha"))).as("presentDev"))
-      .select(
-        col("slot"),
-        (col("presentDev") + (lit(n) - col("present")) * col("meanAlpha")).as("dAlpha"))
-  }
-
-  /** Knee selection: the smallest lattice side whose step to the next
-    * measured side grows D_α by less than `relThreshold` (relative), i.e.
-    * the point after which refining no longer reveals unevenness.
-    * `curve` is (side, dAlpha) sorted by side; falls back to the largest
-    * side if no knee is found.
-    */
-  def selectSide(curve: Seq[(Int, Double)], relThreshold: Double = 0.05): Int = {
-    require(curve.nonEmpty)
-    val sorted = curve.sortBy(_._1)
-    sorted
-      .zip(sorted.tail)
-      .collectFirst {
-        case ((s, d0), (_, d1)) if d0 > 0 && (d1 - d0) / d0 < relThreshold => s
-      }
-      .getOrElse(sorted.last._1)
+  def of(alpha: Array[Double]): Double = {
+    require(alpha.nonEmpty, "empty α surface")
+    val mean = alpha.sum / alpha.length
+    var d = 0.0
+    var c = 0
+    while (c < alpha.length) { d += math.abs(alpha(c) - mean); c += 1 }
+    d
   }
 }

@@ -23,8 +23,6 @@ final case class GridSpec(nSide: Int, hSide: Int) {
   def n: Int = nSide * nSide
   /** N — number of HGrids. */
   def totalHGrids: Int = hSide * hSide
-  /** Average HGrids per MGrid (the paper's m, exact when nSide | √N). */
-  def mAvg: Double = totalHGrids.toDouble / n
 
   /** MGrid axis index owning HGrid axis index `h`. */
   def mOfH(h: Int): Int = math.min(nSide - 1, h * nSide / hSide)

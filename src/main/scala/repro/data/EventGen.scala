@@ -76,8 +76,8 @@ object EventGen {
   }
 
   /** All events of `city` as a Dataset, one row of `range` per day. Only
-    * tests, the `D_α` sweep and stand-alone layer timings need point
-    * events; the experiments read counts and orders drawn on the driver.
+    * tests and stand-alone layer timings need point events; the
+    * experiments, and `D_α`, read counts and orders drawn on the driver.
     */
   def events(spark: SparkSession, city: CityConfig): Dataset[Event] = {
     import spark.implicits._

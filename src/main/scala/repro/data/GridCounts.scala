@@ -4,7 +4,8 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Lattice counting over event DataFrames: the test oracle of
-  * [[CountCube.generate]] and the input of the `D_α` sweep.
+  * [[CountCube.generate]] and [[CountCube.alpha]], and the benchmark's
+  * layer timing of counting.
   *
   * All schemas:
   *  - events: (day, slot, x, y, km, fare) with x, y ∈ [0,1)
@@ -37,7 +38,7 @@ object GridCounts {
   /** α_ij estimate: mean per-(slot, cell) count over days
     * [dayFrom, dayUntil) — the paper's "same time slot over the previous
     * month". Absent (slot, cell) rows mean α = 0. Test oracle of
-    * [[CountCube.alpha]] and the `D_α` input.
+    * [[CountCube.alpha]].
     */
   def alpha(counts: DataFrame, dayFrom: Int, dayUntil: Int): DataFrame = {
     require(dayUntil > dayFrom, s"empty train window [$dayFrom, $dayUntil)")

@@ -44,8 +44,8 @@ object Experiments {
     private var eventsDefined = false
 
     /** The city's whole event stream as an uncached Spark DataFrame, for
-      * the places that need point events (tests, the `D_α` sweep, layer
-      * timings); no experiment reads it.
+      * the places that need point events (tests, layer timings); no
+      * experiment reads it.
       */
     lazy val events: DataFrame = { eventsDefined = true; EventGen.eventsDf(spark, city) }
 
@@ -66,8 +66,8 @@ object Experiments {
     new Env(spark, city, CountCube.generate(city, NTargetSide))
 
   /** Day-aggregate objective: Σ_slots e(√n) for one model. */
-  def sumObjective(ev: Evaluator, model: ModelTier, slots: Seq[Int] = AllSlots): Int => Double =
-    n => { val r = ev(n); slots.map(s => r(s).upper(model.name)).sum }
+  def sumObjective(ev: Evaluator, model: ModelTier): Int => Double =
+    n => { val r = ev(n); AllSlots.map(s => r(s).upper(model.name)).sum }
 
   // ----------------------------------------------------------------- trend
 

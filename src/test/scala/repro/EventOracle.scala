@@ -1,13 +1,14 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions._
 import repro.data.{CountCube, GridCounts}
 
 /** The Spark twins of the driver-side builders, kept as their oracles: they
-  * read the point events that [[repro.data.EventGen.events]] generates,
-  * where `CountCube.generate` and `Algorithms.orders` read the generator's
-  * draws.
+  * read the point events that [[repro.data.EventGen.events]] generates, or
+  * the α table [[GridCounts.alpha]] makes of them, where
+  * `CountCube.generate`, `Algorithms.orders` and `Dalpha.of` read the
+  * generator's draws.
   */
 object EventOracle {
 
@@ -41,5 +42,28 @@ object EventOracle {
       .map { case (slot, rows) =>
         slot -> rows.sortBy(t => (t._3, t._4, t._5)).map(t => (t._2, t._5))
       }
+  }
+
+  /** D_α per slot (paper Eq. 2) of a sparse α table on a `side` lattice:
+    * the twin of `Dalpha.of` over each slot of `CountCube.alpha`.
+    *
+    * ᾱ = (Σ α)/N with N = side²; absent cells contribute |0 − ᾱ| = ᾱ
+    * each, so D_α = Σ_present |α − ᾱ| + (N − present)·ᾱ.
+    *
+    * @param alphaDf (slot, cx, cy, alpha), sparse
+    * @return (slot, dAlpha)
+    */
+  def dalphaPerSlot(alphaDf: DataFrame, side: Int): DataFrame = {
+    val n = side.toLong * side
+    val mean = alphaDf
+      .groupBy(col("slot"))
+      .agg((sum(col("alpha")) / n).as("meanAlpha"), count(lit(1)).as("present"))
+    alphaDf
+      .join(mean, Seq("slot"))
+      .groupBy(col("slot"), col("meanAlpha"), col("present"))
+      .agg(sum(abs(col("alpha") - col("meanAlpha"))).as("presentDev"))
+      .select(
+        col("slot"),
+        (col("presentDev") + (lit(n) - col("present")) * col("meanAlpha")).as("dAlpha"))
   }
 }

@@ -35,8 +35,8 @@ class ExpressionErrorSparkSpec extends SparkSpec {
     // same-MGrid uneven split has higher expression error
     val same = Seq((0, 0, 0, 6.0), (0, 1, 1, 0.5)).toDF("slot", "cx", "cy", "alpha")
     val diff = Seq((0, 0, 0, 6.0), (0, 3, 3, 0.5)).toDF("slot", "cx", "cy", "alpha")
-    val eSame = ExpressionError.totalPerSlot(spark, same, spec).head.getDouble(1)
-    val eDiff = ExpressionError.totalPerSlot(spark, diff, spec).head.getDouble(1)
+    val eSame = ExpressionError.totalPerSlot(spark, same, spec).head().getDouble(1)
+    val eDiff = ExpressionError.totalPerSlot(spark, diff, spec).head().getDouble(1)
     val wantSame = ExpressionError.mgridTotal(Array(6.0, 0.5), 4)
     val wantDiff = ExpressionError.mgridTotal(Array(6.0), 4) + ExpressionError.mgridTotal(Array(0.5), 4)
     assert(math.abs(eSame - wantSame) < 1e-9)
@@ -47,7 +47,7 @@ class ExpressionErrorSparkSpec extends SparkSpec {
   test("m = 1 lattice yields zero expression error") {
     val spec = GridSpec(4, 4)
     val alphaDf = Seq((0, 0, 0, 3.0), (0, 1, 2, 9.0)).toDF("slot", "cx", "cy", "alpha")
-    val tot = ExpressionError.totalPerSlot(spark, alphaDf, spec).head.getDouble(1)
+    val tot = ExpressionError.totalPerSlot(spark, alphaDf, spec).head().getDouble(1)
     assert(tot == 0.0)
   }
 }

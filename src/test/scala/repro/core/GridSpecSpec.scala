@@ -15,7 +15,7 @@ class GridSpecSpec extends AnyFunSuite with PropChecks {
 
   test("average m matches the paper's N/n") {
     val s = GridSpec(16, 64)
-    assert(s.mAvg == 16.0)
+    assert(s.totalHGrids.toDouble / s.n == 16.0)
     assert(s.cellsPerM.forall(_ == 16)) // dividing case: exact blocks
   }
 

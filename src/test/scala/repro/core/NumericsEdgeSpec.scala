@@ -87,12 +87,6 @@ class NumericsEdgeSpec extends AnyFunSuite with PropChecks {
     assert(r.nSide == 3) // first x with f = 0
   }
 
-  test("Dalpha.selectSide threshold extremes") {
-    val curve = Seq(4 -> 100.0, 8 -> 150.0, 16 -> 151.0)
-    assert(Dalpha.selectSide(curve, relThreshold = 1e-9) == 16) // nothing qualifies
-    assert(Dalpha.selectSide(curve, relThreshold = 10.0) == 4) // everything does
-  }
-
   test("SlotEval.upper is per-model") {
     val s = SlotEval(0, 10.0, Map("a" -> 1.0, "b" -> 2.0), Map("a" -> 0.0, "b" -> 0.0))
     assert(s.upper("a") == 11.0 && s.upper("b") == 12.0)
@@ -101,7 +95,7 @@ class NumericsEdgeSpec extends AnyFunSuite with PropChecks {
   test("GridSpec per-MGrid m matches N/n on average") {
     for (spec <- Seq(GridSpec(5, 64), GridSpec(13, 64), GridSpec(32, 64))) {
       val mean = spec.cellsPerM.map(_.toDouble).sum / spec.n
-      assert(math.abs(mean - spec.mAvg) < 1e-9)
+      assert(math.abs(mean - spec.totalHGrids.toDouble / spec.n) < 1e-9)
     }
   }
 }

@@ -32,15 +32,15 @@ class EventGenSpec extends SparkSpec {
   test("generation is deterministic in the city seed") {
     val again = EventGen.eventsDf(spark, toy)
     assert(ev.count() == again.count())
-    val h1 = ev.agg(sum(hash(col("day"), col("slot"), col("x"), col("y"), col("fare")))).head.getLong(0)
-    val h2 = again.agg(sum(hash(col("day"), col("slot"), col("x"), col("y"), col("fare")))).head.getLong(0)
+    val h1 = ev.agg(sum(hash(col("day"), col("slot"), col("x"), col("y"), col("fare")))).head().getLong(0)
+    val h2 = again.agg(sum(hash(col("day"), col("slot"), col("x"), col("y"), col("fare")))).head().getLong(0)
     assert(h1 == h2)
   }
 
   test("a different seed produces different events") {
     val other = EventGen.eventsDf(spark, toy.copy(seed = 999L))
-    val h1 = ev.agg(sum(hash(col("x"), col("y")))).head.getLong(0)
-    val h2 = other.agg(sum(hash(col("x"), col("y")))).head.getLong(0)
+    val h1 = ev.agg(sum(hash(col("x"), col("y")))).head().getLong(0)
+    val h2 = other.agg(sum(hash(col("x"), col("y")))).head().getLong(0)
     assert(h1 != h2)
   }
 
@@ -54,7 +54,7 @@ class EventGenSpec extends SparkSpec {
     val r = ev.agg(
       min("day"), max("day"), min("slot"), max("slot"),
       min("x"), max("x"), min("y"), max("y"),
-      min("km"), max("km"), min("fare")).head
+      min("km"), max("km"), min("fare")).head()
     assert(r.getInt(0) >= 0 && r.getInt(1) == toy.days - 1)
     assert(r.getInt(2) >= 0 && r.getInt(3) <= 47)
     assert(r.getDouble(4) >= 0.0 && r.getDouble(5) < 1.0)
@@ -83,7 +83,7 @@ class EventGenSpec extends SparkSpec {
     // busiest generation cell: high μ ⇒ tight relative tolerance
     val hot = counts
       .groupBy("slot", "cx", "cy").agg((sum("cnt") / toy.days).as("mean"))
-      .orderBy(desc("mean")).head
+      .orderBy(desc("mean")).head()
     val (slot, cx, cy, mean) = (hot.getInt(0), hot.getInt(1), hot.getInt(2), hot.getDouble(3))
     val mu = toy.mu(slot, cx * g + cy)
     assert(math.abs(mean - mu) < 4 * math.sqrt(mu / toy.days) + 0.05, s"mean=$mean mu=$mu")

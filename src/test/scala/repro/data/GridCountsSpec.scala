@@ -25,7 +25,7 @@ class GridCountsSpec extends SparkSpec {
   }
 
   test("at(): total of counts equals the number of events") {
-    val total = GridCounts.at(ev, 16).agg(sum("cnt")).head.getLong(0)
+    val total = GridCounts.at(ev, 16).agg(sum("cnt")).head().getLong(0)
     assert(total == ev.count())
   }
 
