@@ -54,15 +54,16 @@ final case class SimConfig(
 /** Deterministic prediction-guided dispatch simulator (substitution for
   * the paper's POLAR / LS / DAIF systems — DESIGN.md §3).
   *
-  * Stage 1 (the part grid size affects): workers are pre-positioned
-  * proportionally to the predicted demand of each MGrid ([[GridSpec.mgridOf]]),
-  * split uniformly across its fine cells — exactly the uniformity assumption
-  * whose cost the paper calls expression error. Stage 2: workers serve the fine
-  * cell they were placed in (POLAR's stage-1 commitment: commit to a grid,
-  * then match). Each cell, in index order, serves min(orders, seats) of its
-  * own orders at 0.5·cellKm of pickup travel each. With capacity > 1 a
-  * second pass uses the extra seats (shared rides), flagged so the caller
-  * can charge a detour.
+  * Workers are pre-positioned proportionally to the predicted demand of each
+  * MGrid ([[GridSpec.mgridOf]]), split uniformly across its fine cells —
+  * exactly the uniformity assumption whose cost the paper calls expression
+  * error. Each worker serves only the fine cell it was placed in (POLAR's
+  * stage-1 commitment: commit to a grid, then match), so the slot has a
+  * closed form per cell: a cell with `d` orders and `s` seats serves
+  * `min(d, capacity·s)` of its queue (arrival order, or highest fare first),
+  * the last one by its fraction, at 0.5·cellKm of pickup travel each. Of
+  * those, `min(d, capacity·s) − min(d, s)` ride a shared seat, flagged so
+  * the caller can charge a detour.
   *
   * Mis-positioned supply — from expression error (coarse n) or model
   * error (fine n) — strands workers away from demand and loses matches,
@@ -72,67 +73,33 @@ object DispatchSim {
 
   def run(orders: Array[(Int, Double)], preds: Array[Double], cfg: SimConfig): SimResult = {
     val g = cfg.grid
-    val cells = g.totalHGrids
     require(preds.length == g.n, "preds must be per-MGrid")
 
     // demand queues per fine cell
-    val queues = Array.fill(cells)(new ArrayBuffer[Double]())
+    val queues = Array.fill(g.totalHGrids)(new ArrayBuffer[Double]())
     orders.foreach { case (c, fare) => queues(c) += fare }
-    if (cfg.farePriority) queues.foreach(q => q.sortInPlace()(Ordering.Double.TotalOrdering.reverse))
-    val demandRes = queues.map(_.length.toDouble)
-    val servedPos = new Array[Double](cells) // fractional pointer into queue
 
-    // supply: predicted MGrid share, uniform within the MGrid's fine cells
     val totalPred = preds.sum
-    val supply = Array.tabulate(cells) { c =>
-      val m = g.mgridOf(c)
-      val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / g.n
-      cfg.workers * share / g.cellsPerM(m)
-    }
-
     var served = 0.0
     var revenue = 0.0
-    var travel = 0.0
     var shared = 0.0
-    val demand0 = demandRes.sum
-
-    /** Serve `q` orders from cell `c`'s queue (fare-ordered), fractionally. */
-    def serveFrom(c: Int, q: Double): Unit = {
+    for (c <- queues.indices if queues(c).nonEmpty) {
       val fares = queues(c)
-      var left = q
-      var pos = servedPos(c)
-      while (left > 1e-12 && pos < fares.length) {
-        val i = pos.toInt
-        val cap = (i + 1) - pos // remaining fraction of order i
-        val take = math.min(cap, left)
-        revenue += take * fares(i)
-        pos += take
-        left -= take
-      }
-      servedPos(c) = pos
+      if (cfg.farePriority) fares.sortInPlace()(Ordering.Double.TotalOrdering.reverse)
+      // seats: the MGrid's predicted share of the workers, uniform over its fine cells
+      val m = g.mgridOf(c)
+      val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / g.n
+      val seats = cfg.workers * share / g.cellsPerM(m)
+      val q = math.min(fares.length, cfg.capacity * seats)
+      served += q
+      shared += q - math.min(fares.length, seats)
+      val whole = q.toInt
+      var i = 0
+      while (i < whole) { revenue += fares(i); i += 1 }
+      if (whole < fares.length) revenue += (q - whole) * fares(whole)
     }
 
-    /** One matching pass: each cell serves `min(demand, seats)` of its own
-      * orders at half-cell travel; `sharedPass` charges them as shared.
-      */
-    def matchPass(seats: Array[Double], sharedPass: Boolean): Unit = {
-      var c = 0
-      while (c < cells) {
-        if (demandRes(c) > 1e-12 && seats(c) > 1e-12) {
-          val q = math.min(demandRes(c), seats(c))
-          demandRes(c) -= q
-          served += q
-          travel += q * 0.5 * cfg.cellKm
-          if (sharedPass) shared += q
-          serveFrom(c, q)
-        }
-        c += 1
-      }
-    }
-
-    matchPass(supply, sharedPass = false)
-    if (cfg.capacity > 1) matchPass(supply.map(_ * (cfg.capacity - 1)), sharedPass = true)
-
-    SimResult(demand0, served, revenue, travel, shared, demand0 - served)
+    val demand = orders.length.toDouble
+    SimResult(demand, served, revenue, served * 0.5 * cfg.cellKm, shared, demand - served)
   }
 }

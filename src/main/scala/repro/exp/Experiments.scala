@@ -41,13 +41,11 @@ object Experiments {
     *             dispatcher of the city
     */
   final class Env(val spark: SparkSession, val city: CityConfig, val cube: CountCube) {
-    private var eventsDefined = false
-
     /** The city's whole event stream as an uncached Spark DataFrame, for
       * the places that need point events (tests, layer timings); no
       * experiment reads it.
       */
-    lazy val events: DataFrame = { eventsDefined = true; EventGen.eventsDf(spark, city) }
+    lazy val events: DataFrame = EventGen.eventsDf(spark, city)
 
     /** The test day's orders per slot on the HGrid lattice, drawn on first
       * use and shared by every dispatcher of the city.
@@ -56,9 +54,6 @@ object Experiments {
 
     def evaluator(models: Seq[ModelTier], computeReal: Boolean): Evaluator =
       new Evaluator(cube, EvalConfig(models, TestDay, ValDays, TrainWindow, computeReal))
-
-    /** Releases the events if a caller cached them. */
-    def close(): Unit = if (eventsDefined) events.unpersist()
   }
 
   /** Set-up of one city: its count cube, drawn on the driver (no Spark job). */

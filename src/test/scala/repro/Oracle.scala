@@ -7,8 +7,9 @@ import org.apache.spark.sql.{DataFrame, Row}
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * match ``sparkDf``, floating cells to within [[Tol]]. This catches
+  * wrong results from a rewritten plan or a custom operator — "it ran"
+  * is not "it is correct".
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -16,21 +17,38 @@ import org.apache.spark.sql.{DataFrame, Row}
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  /** Largest difference allowed between a Spark and a DuckDB floating value:
+    * half of what two equal 6-decimal strings can hide, and two sums one ulp
+    * apart pass even where they would round to different strings.
+    */
+  val Tol = 5e-7
+
+  /** Rows as cells in sorted column order: floating values as `Double`, all
+    * else as strings. Rows sort on their string cells first, so rows that
+    * differ in the last bits of a floating cell still pair up.
+    */
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Any]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case null                     => "∅"
+          case d: Double                => d
+          case f: Float                 => f.toDouble
+          case bd: java.math.BigDecimal => bd.doubleValue
+          case x                        => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sortBy(r => (r.collect { case s: String => s }.mkString("\u0000"), r.collect { case d: Double => d }))(
+        Ordering.Tuple2(Ordering.String, Ordering.Implicits.seqOrdering(Ordering.Double.TotalOrdering)))
   }
+
+  private def same(a: Seq[Any], b: Seq[Any]): Boolean =
+    a.size == b.size && a.zip(b).forall {
+      case (x: Double, y: Double) => x == y || math.abs(x - y) <= Tol
+      case (x, y)                 => x == y
+    }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
@@ -66,10 +84,10 @@ object Oracle {
       )
       val got = canon(sparkDf.collect().toSeq, sCols)
       val exp = canon(dRows, dCols)
-      require(got == exp,
+      val unpaired = got.zip(exp).filterNot { case (g, e) => same(g, e) }
+      require(got.size == exp.size && unpaired.isEmpty,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
+        s"  first (spark, duck) pairs that differ: ${unpaired.take(3)}"
       )
     } finally conn.close()
   }

@@ -53,4 +53,15 @@ class OracleSpec extends SparkSpec {
       "SELECT tag, CAST(x AS DOUBLE) * 2 AS xx FROM a JOIN b ON a.k = b.k",
       "a" -> a, "b" -> b)
   }
+
+  test("floating cells compare by value, not by their 6-decimal rounding") {
+    // 12.0390625 sits on a rounding edge: it prints as 12.039063 and the
+    // next double below it as 12.039062, yet the two are one ulp apart
+    val exact = Seq((1, 12.0390625), (2, 0.5)).toDF("k", "v")
+    val sql = "SELECT CAST(k AS INT) AS k, CAST(v AS DOUBLE) AS v FROM t"
+    Oracle.assertEquivalent(Seq((2, 0.5), (1, math.nextDown(12.0390625))).toDF("k", "v"), sql, "t" -> exact)
+    assertThrows[IllegalArgumentException] {
+      Oracle.assertEquivalent(Seq((1, 12.0390625 + 1e-6), (2, 0.5)).toDF("k", "v"), sql, "t" -> exact)
+    }
+  }
 }

@@ -3,6 +3,8 @@ package repro.dispatch
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{GridSpec, Rng}
 
+import scala.collection.mutable.ArrayBuffer
+
 class DispatchSimSpec extends AnyFunSuite {
 
   private val F = 8
@@ -19,6 +21,105 @@ class DispatchSimSpec extends AnyFunSuite {
     cells.map(c => (c, fare)).toArray
 
   private def uniformPreds(nSide: Int): Array[Double] = Array.fill(nSide * nSide)(1.0)
+
+  /** Reference: the earlier two-pass simulation, kept verbatim as the oracle
+    * for the closed form. Pass 1 serves min(demand, seats) per cell; with
+    * capacity > 1, pass 2 serves the rest from the extra seats as shared
+    * rides, both advancing a fractional pointer into each cell's queue.
+    */
+  private def twoPassRun(orders: Array[(Int, Double)], preds: Array[Double], cfg: SimConfig): SimResult = {
+    val g = cfg.grid
+    val cells = g.totalHGrids
+    require(preds.length == g.n, "preds must be per-MGrid")
+
+    val queues = Array.fill(cells)(new ArrayBuffer[Double]())
+    orders.foreach { case (c, fare) => queues(c) += fare }
+    if (cfg.farePriority) queues.foreach(q => q.sortInPlace()(Ordering.Double.TotalOrdering.reverse))
+    val demandRes = queues.map(_.length.toDouble)
+    val servedPos = new Array[Double](cells)
+
+    val totalPred = preds.sum
+    val supply = Array.tabulate(cells) { c =>
+      val m = g.mgridOf(c)
+      val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / g.n
+      cfg.workers * share / g.cellsPerM(m)
+    }
+
+    var served = 0.0
+    var revenue = 0.0
+    var travel = 0.0
+    var shared = 0.0
+    val demand0 = demandRes.sum
+
+    def serveFrom(c: Int, q: Double): Unit = {
+      val fares = queues(c)
+      var left = q
+      var pos = servedPos(c)
+      while (left > 1e-12 && pos < fares.length) {
+        val i = pos.toInt
+        val cap = (i + 1) - pos
+        val take = math.min(cap, left)
+        revenue += take * fares(i)
+        pos += take
+        left -= take
+      }
+      servedPos(c) = pos
+    }
+
+    def matchPass(seats: Array[Double], sharedPass: Boolean): Unit = {
+      var c = 0
+      while (c < cells) {
+        if (demandRes(c) > 1e-12 && seats(c) > 1e-12) {
+          val q = math.min(demandRes(c), seats(c))
+          demandRes(c) -= q
+          served += q
+          travel += q * 0.5 * cfg.cellKm
+          if (sharedPass) shared += q
+          serveFrom(c, q)
+        }
+        c += 1
+      }
+    }
+
+    matchPass(supply, sharedPass = false)
+    if (cfg.capacity > 1) matchPass(supply.map(_ * (cfg.capacity - 1)), sharedPass = true)
+
+    SimResult(demand0, served, revenue, travel, shared, demand0 - served)
+  }
+
+  test("closed form equals the two-pass simulation on random slots") {
+    def close(a: Double, b: Double): Boolean =
+      math.abs(a - b) <= 1e-9 * math.max(1.0, math.max(math.abs(a), math.abs(b)))
+    var checked = 0
+    for (seed <- 0 until 3) {
+      // squaring the uniform crowds orders into the low cells, several per cell
+      val orders = Array.tabulate(150) { i =>
+        val u = Rng.uniform(Rng.key(seed, i))
+        ((u * u * F * F).toInt, 5.0 + 45.0 * Rng.uniform(Rng.key(seed, i), 1))
+      }
+      assert(orders.map(_._1).groupBy(identity).values.exists(_.length >= 5))
+      for (nSide <- Seq(1, 2, 3, 8)) {
+        // some MGrids predicted empty, so their cells get no seats
+        val random = Array.tabulate(nSide * nSide) { m =>
+          val u = Rng.uniform(Rng.key(seed, 1000 + m))
+          if (u < 0.2) 0.0 else u
+        }
+        for (preds <- Seq(random, Array.fill(nSide * nSide)(0.0));
+             cap <- Seq(1, 2); farePriority <- Seq(false, true);
+             workers <- Seq(0.7, 13.3, 61.9, 150.25, 517.0)) {
+          val c = cfg(nSide, workers, cap, farePriority)
+          val got = DispatchSim.run(orders, preds, c)
+          val exp = twoPassRun(orders, preds, c)
+          got.productElementNames.zip(got.productIterator.zip(exp.productIterator)).foreach {
+            case (field, (a: Double, b: Double)) =>
+              assert(close(a, b), s"$field: $a vs $b (nSide=$nSide cap=$cap fare=$farePriority workers=$workers)")
+          }
+          checked += 1
+        }
+      }
+    }
+    assert(checked == 3 * 4 * 2 * 2 * 2 * 5)
+  }
 
   test("no workers ⇒ nothing served") {
     val r = DispatchSim.run(ordersAt(Seq(0, 1, 2)), uniformPreds(2), cfg(2, workers = 0))

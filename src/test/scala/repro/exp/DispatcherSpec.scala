@@ -55,16 +55,14 @@ class DispatcherSpec extends SparkSpec {
 
   test("a second Dispatcher on the same Env starts no Spark job") {
     val env = Experiments.prepare(spark, CityConfig.toy.copy(days = 35))
-    try {
-      val slot = 37 // evening peak
-      val first = new Experiments.Dispatcher(env, Models.ha4)
-      val served = first.servedOneSlot(4, slot)
-      assert(served > 0)
-      val (again, jobs) = withJobCount {
-        new Experiments.Dispatcher(env, Models.ha4).servedOneSlot(4, slot)
-      }
-      assert(jobs == 0, s"$jobs Spark jobs")
-      assert(again == served)
-    } finally env.close()
+    val slot = 37 // evening peak
+    val first = new Experiments.Dispatcher(env, Models.ha4)
+    val served = first.servedOneSlot(4, slot)
+    assert(served > 0)
+    val (again, jobs) = withJobCount {
+      new Experiments.Dispatcher(env, Models.ha4).servedOneSlot(4, slot)
+    }
+    assert(jobs == 0, s"$jobs Spark jobs")
+    assert(again == served)
   }
 }
