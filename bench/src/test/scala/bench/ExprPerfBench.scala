@@ -5,10 +5,13 @@ import repro.core.{ExpressionError, GridSpec, Rng}
 import repro.data.CityConfig
 import repro.exp.Experiments
 
+import ExprPerfBench.CityRow
+
 /** Appendix D (Fig. 16): cost of computing one HGrid's expression error as
   * K grows — straightforward double sum (Alg. 1, O(mK²)) vs the fast
   * prefix-sum variant (Alg. 2, O(mK)) vs the windowed production kernel —
-  * and of the production per-slot totals over a whole city.
+  * and of the production per-slot totals over a whole city, with the
+  * kernel calls, memo lookups and memo misses behind them.
   */
 class ExprPerfBench extends AnyFunSuite {
 
@@ -43,31 +46,54 @@ class ExprPerfBench extends AnyFunSuite {
     rows
   }
 
-  /** Xi'an's α surface without Spark: each cell's 28-day count is one
-    * Pois(28·μ) draw (a sum of daily Poisson counts), divided by 28.
+  /** Xi'an's α surface without Spark, at `volume` of the preset's daily
+    * orders: each cell's 28-day count is one Pois(28·μ) draw (a sum of
+    * daily Poisson counts), divided by 28.
     */
-  private lazy val xianAlpha: Array[Array[Double]] = {
-    val city = CityConfig.xian
+  private def xianAlpha(volume: Double): Array[Array[Double]] = {
+    val city = CityConfig.xian.copy(dailyOrders = CityConfig.xian.dailyOrders * volume)
     val days = Experiments.TrainWindow
     Array.tabulate(CityConfig.Slots, city.genSide * city.genSide) { (s, c) =>
       Rng.poisson(days * city.mu(s, c), Rng.key(city.seed, s, c)) / days.toDouble
     }
   }
 
-  private lazy val cityRows: Seq[(Int, Double, Double)] = {
-    val rows = Seq(1, 16).map { nSide =>
-      val spec = GridSpec(nSide, CityConfig.xian.genSide)
-      val (totals, ms) = med(ExpressionError.totalPerSlot(xianAlpha, spec).sum)
-      (nSide, ms, totals)
+  private lazy val cityRows: Seq[CityRow] = {
+    val cases = for {
+      volume <- Seq(1.0, 0.1)
+      alpha = xianAlpha(volume)
+      nSide <- Seq(1, 2, 4, 8, 16, 32)
+    } yield (volume, alpha, GridSpec(nSide, CityConfig.xian.genSide))
+    // warm the JIT on every case first, so no case is timed while it compiles
+    for (_ <- 1 to 3; (_, alpha, spec) <- cases) ExpressionError.totalPerSlot(alpha, spec)
+    val rows = cases.map { case (volume, alpha, spec) =>
+      val calls = alpha.iterator.map(_.count(_ != 0.0).toLong).sum
+      val lookups = alpha.iterator.map { a =>
+        a.indices.iterator.filter(a(_) != 0.0).map(h => (spec.mgridOf(h), a(h))).toSet.size.toLong
+      }.sum
+      val memo = new ExpressionError.Memo
+      alpha.foreach(ExpressionError.slotTotal(_, spec, memo))
+      val (total, ms) = med(ExpressionError.totalPerSlot(alpha, spec).sum)
+      CityRow(volume, spec.nSide, calls, lookups, memo.size, ms, total)
     }
-    println("EXPRPERF | xian alpha surface, 48 slots | nSide | totalPerSlot (ms) | sum of expression error")
-    rows.foreach { case (n, ms, e) => println(f"EXPRPERF | totalPerSlot | $n%3d | $ms%10.3f | $e%.6e") }
+    println("EXPRPERF | xian alpha surface, 48 slots | volume | nSide | calls | lookups | misses | totalPerSlot (ms) | sum of expression error")
+    rows.foreach { r =>
+      println(f"EXPRPERF | totalPerSlot | ${r.volume}%4.1f | ${r.nSide}%3d | ${r.calls}%7d | ${r.lookups}%7d | " +
+        f"${r.misses}%6d | ${r.ms}%10.3f | ${r.total}%.6e")
+    }
     rows
   }
 
   test("whole-city totalPerSlot: expression error falls from n = 1 to n = 16") {
-    val Seq((_, _, e1), (_, _, e16)) = cityRows
+    val full = cityRows.filter(_.volume == 1.0)
+    val e1 = full.find(_.nSide == 1).get.total
+    val e16 = full.find(_.nSide == 16).get.total
     assert(e1.isFinite && e16 > 0.0 && e16 < e1, s"n=1: $e1, n=16: $e16")
+  }
+
+  test("whole-city totalPerSlot: memo misses ≤ lookups ≤ kernel calls") {
+    for (r <- cityRows)
+      assert(r.misses <= r.lookups && r.lookups <= r.calls, r.toString)
   }
 
   test("Alg. 2 is asymptotically cheaper than Alg. 1 (paper Fig. 16)") {
@@ -92,4 +118,13 @@ class ExprPerfBench extends AnyFunSuite {
   test("the windowed kernel stays fast regardless of K") {
     assert(table.map(_._4).max < 50.0, "auto kernel should stay in the ms range")
   }
+}
+
+object ExprPerfBench {
+  /** One evaluation's kernel work at one (volume, nSide): `calls` present
+    * HGrids, `lookups` distinct α per (slot, MGrid) — what `slotTotal`
+    * asks the memo — and `misses` distinct keys the memo computed.
+    */
+  final case class CityRow(volume: Double, nSide: Int, calls: Long, lookups: Long, misses: Int,
+      ms: Double, total: Double)
 }

@@ -94,7 +94,10 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     */
   private def evalSlot(spec: GridSpec, s: Int, memo: ExpressionError.Memo): SlotEval = {
     val firstDay = (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max
-    val mgrid = (firstDay to cfg.testDay).map(d => cube.blockSums(spec, d, s))
+    // the last day read: a validation day's counts, or the test day's HA(k)
+    // window; real error reads the test day per HGrid from the cube
+    val lastDay = if (cfg.computeReal) math.max(cfg.valDays.max, cfg.testDay - 1) else cfg.valDays.max
+    val mgrid = (firstDay to lastDay).map(d => cube.blockSums(spec, d, s))
     val counts: Int => Array[Long] = d => mgrid(d - firstDay)
     // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
     val modelErr = cfg.models.map { mt =>

@@ -179,7 +179,12 @@ object ExpressionError {
     * both Poissons, each pmf filled by [[poisWindow]]'s recurrence from its
     * mode. Truncation error < 1e-12 relative.
     */
-  def auto(a: Double, b: Double, m: Int): Double = {
+  def auto(a: Double, b: Double, m: Int): Double = auto(a, b, m, poisWindow)
+
+  /** [[auto]] with the Pois(a) window taken from `windowOf`, so that callers
+    * with many keys of one α fill it once.
+    */
+  private def auto(a: Double, b: Double, m: Int, windowOf: Double => Array[Double]): Double = {
     require(m >= 1 && a >= 0 && b >= 0)
     if (m == 1) return 0.0
     if (a == 0.0) return b / m // exact: E|Y/m| = b/m for empty HGrid
@@ -193,7 +198,7 @@ object ExpressionError {
       c0Tot += pb(i); c1Tot += (bLo + i) * pb(i)
       i += 1
     }
-    val pa = poisWindow(a)
+    val pa = windowOf(a)
     val aLo = windowLo(a)
     var u = bLo
     var c0 = 0.0
@@ -214,13 +219,17 @@ object ExpressionError {
     e / m
   }
 
-  /** [[auto]] values keyed on their exact arguments (α, A − α, m); safe to
-    * share between threads.
+  /** [[auto]] values keyed on their exact arguments (α, A − α, m), and the
+    * Pois(α) window of each α that missed; safe to share between threads.
     */
   final class Memo {
     private val values = new ConcurrentHashMap[Memo.Key, java.lang.Double]
+    private val windows = new ConcurrentHashMap[java.lang.Double, Array[Double]]
+    private val window: Double => Array[Double] = a => windows.computeIfAbsent(a, _ => poisWindow(a))
     def apply(a: Double, b: Double, m: Int): Double =
-      values.computeIfAbsent(new Memo.Key(a, b, m), _ => auto(a, b, m))
+      values.computeIfAbsent(new Memo.Key(a, b, m), _ => auto(a, b, m, window))
+    /** Distinct keys computed so far: the memo's misses. */
+    def size: Int = values.size
   }
   object Memo {
     /** Arguments compared by their bits, so equal keys are equal
@@ -242,29 +251,27 @@ object ExpressionError {
 
   /** Total expression error of one MGrid with present-HGrid means
     * `alphas` (absent HGrids are implicit zeros): Σ_j E_e(α_j, A−α_j, m)
-    * plus the exact A/m term for each of the (m − |alphas|) empty HGrids.
-    * α = count / days takes few distinct values, so `memo` computes each
-    * distinct kernel call once; the sum still runs term by term in order.
+    * plus the exact A/m term for each of the (m − |alphas|) empty HGrids,
+    * summed term by term in order. The reference for [[slotTotal]]'s
+    * per-MGrid sums.
     */
-  def mgridTotal(alphas: Array[Double], m: Int, memo: Memo = new Memo): Double =
-    mgridTotal(alphas, alphas.length, m, memo)
-
-  /** [[mgridTotal]] of `alphas(0 until len)`. */
-  private def mgridTotal(alphas: Array[Double], len: Int, m: Int, memo: Memo): Double = {
-    require(len <= m, s"$len HGrid means for m=$m")
+  def mgridTotal(alphas: Array[Double], m: Int, memo: Memo = new Memo): Double = {
+    require(alphas.length <= m, s"${alphas.length} HGrid means for m=$m")
     var total = 0.0
-    var j = 0
-    while (j < len) { total += alphas(j); j += 1 }
+    alphas.foreach(a => total += a)
     var e = 0.0
-    j = 0
-    while (j < len) { e += memo(alphas(j), total - alphas(j), m); j += 1 }
-    e + (m - len) * (if (m == 1) 0.0 else total / m)
+    alphas.foreach(a => e += memo(a, total - a, m))
+    e + (m - alphas.length) * (if (m == 1) 0.0 else total / m)
   }
 
   /** Expression error Σ_i Σ_j E_e(i,j) of one slot: `a` is the slot's dense
     * α surface on the `spec.hSide` lattice (index cx·hSide + cy), where 0
     * means an empty HGrid. MGrids are summed in id order, each one's
-    * HGrids in HGrid order.
+    * HGrids in HGrid order, so each MGrid's sum is [[mgridTotal]]'s bit for
+    * bit. HGrids of one MGrid with equal α share the key (α, A − α, m), and
+    * α = count / days takes few values, so each distinct α of an MGrid goes
+    * to `memo` once: an open-addressed table, at most half full, maps α's
+    * bits (0 marks a free slot; a present α is never ±0) to its value.
     */
   def slotTotal(a: Array[Double], spec: GridSpec, memo: Memo): Double = {
     require(a.length == spec.totalHGrids, s"${a.length} α values for ${spec.totalHGrids} HGrids")
@@ -272,17 +279,35 @@ object ExpressionError {
     val start = spec.mStart
     val cellsPerM = spec.cellsPerM
     val present = new Array[Double](spec.maxM)
+    val keys = new Array[Long](Integer.highestOneBit(spec.maxM) << 2)
+    val values = new Array[Double](keys.length)
     var e = 0.0
     var i = 0
     while (i < spec.n) {
+      val m = cellsPerM(i)
       var len = 0
+      var total = 0.0
       var k = start(i)
       while (k < start(i + 1)) {
         val v = a(byM(k))
-        if (v != 0.0) { present(len) = v; len += 1 }
+        if (v != 0.0) { present(len) = v; total += v; len += 1 }
         k += 1
       }
-      e += mgridTotal(present, len, cellsPerM(i), memo)
+      val size = Integer.highestOneBit(len) << 2
+      val shift = 64 - Integer.numberOfTrailingZeros(size)
+      java.util.Arrays.fill(keys, 0, size, 0L)
+      var em = 0.0
+      var j = 0
+      while (j < len) {
+        val x = present(j)
+        val key = java.lang.Double.doubleToLongBits(x)
+        var h = ((key * 0x9e3779b97f4a7c15L) >>> shift).toInt
+        while (keys(h) != 0L && keys(h) != key) h = (h + 1) & (size - 1)
+        if (keys(h) == 0L) { keys(h) = key; values(h) = memo(x, total - x, m) }
+        em += values(h)
+        j += 1
+      }
+      e += em + (m - len) * (if (m == 1) 0.0 else total / m)
       i += 1
     }
     e

@@ -2,8 +2,6 @@ package repro.dispatch
 
 import repro.core.GridSpec
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Outcome of dispatching one time slot.
   *
   * @param demand    total order count
@@ -75,31 +73,50 @@ object DispatchSim {
     val g = cfg.grid
     require(preds.length == g.n, "preds must be per-MGrid")
 
-    // demand queues per fine cell
-    val queues = Array.fill(g.totalHGrids)(new ArrayBuffer[Double]())
-    orders.foreach { case (c, fare) => queues(c) += fare }
+    // demand queues per fine cell: cell c's fares, in arrival order, are
+    // fares(start(c) until start(c + 1)) (a counting sort on cell)
+    val start = new Array[Int](g.totalHGrids + 1)
+    orders.foreach { case (cell, _) => start(cell + 1) += 1 }
+    var c = 0
+    while (c < g.totalHGrids) { start(c + 1) += start(c); c += 1 }
+    val next = start.clone()
+    val fares = new Array[Double](orders.length)
+    orders.foreach { case (cell, fare) => fares(next(cell)) = fare; next(cell) += 1 }
 
     val totalPred = preds.sum
     var served = 0.0
     var revenue = 0.0
     var shared = 0.0
-    for (c <- queues.indices if queues(c).nonEmpty) {
-      val fares = queues(c)
-      if (cfg.farePriority) fares.sortInPlace()(Ordering.Double.TotalOrdering.reverse)
-      // seats: the MGrid's predicted share of the workers, uniform over its fine cells
-      val m = g.mgridOf(c)
-      val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / g.n
-      val seats = cfg.workers * share / g.cellsPerM(m)
-      val q = math.min(fares.length, cfg.capacity * seats)
-      served += q
-      shared += q - math.min(fares.length, seats)
-      val whole = q.toInt
-      var i = 0
-      while (i < whole) { revenue += fares(i); i += 1 }
-      if (whole < fares.length) revenue += (q - whole) * fares(whole)
+    c = 0
+    while (c < g.totalHGrids) {
+      val lo = start(c)
+      val d = start(c + 1) - lo
+      if (d > 0) {
+        if (cfg.farePriority) sortDescending(fares, lo, lo + d)
+        // seats: the MGrid's predicted share of the workers, uniform over its fine cells
+        val m = g.mgridOf(c)
+        val share = if (totalPred > 0) preds(m) / totalPred else 1.0 / g.n
+        val seats = cfg.workers * share / g.cellsPerM(m)
+        val q = math.min(d, cfg.capacity * seats)
+        served += q
+        shared += q - math.min(d, seats)
+        val whole = q.toInt
+        var i = 0
+        while (i < whole) { revenue += fares(lo + i); i += 1 }
+        if (whole < d) revenue += (q - whole) * fares(lo + whole)
+      }
+      c += 1
     }
 
     val demand = orders.length.toDouble
     SimResult(demand, served, revenue, served * 0.5 * cfg.cellKm, shared, demand - served)
+  }
+
+  /** Sorts `a(from until to)` in place, highest first. */
+  private def sortDescending(a: Array[Double], from: Int, to: Int): Unit = {
+    java.util.Arrays.sort(a, from, to)
+    var i = from
+    var j = to - 1
+    while (i < j) { val t = a(i); a(i) = a(j); a(j) = t; i += 1; j -= 1 }
   }
 }

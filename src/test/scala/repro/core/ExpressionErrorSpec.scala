@@ -250,12 +250,29 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
 
   test("slotTotal of one MGrid with repeated α and empty HGrids equals mgridTotal bit for bit") {
     // one MGrid of 1024 HGrids: 400 distinct α, each repeated, with empty
-    // HGrids in between
+    // HGrids in between; then 1023 distinct α, the most the per-MGrid
+    // table ever holds for its size (just under half full)
     val spec = GridSpec(1, 32)
-    val a = Array.tabulate(spec.totalHGrids)(h => if (h % 7 == 3) 0.0 else (h * 37 % 400 + 1) / 28.0)
-    val want = mgridTotal(a.filter(_ != 0.0), spec.totalHGrids)
-    assert(slotTotal(a, spec, new Memo) == want)
-    assert(totalPerSlot(Array(a, a.reverse), spec)(0) == want)
+    val repeated = Array.tabulate(spec.totalHGrids)(h => if (h % 7 == 3) 0.0 else (h * 37 % 400 + 1) / 28.0)
+    val distinct = Array.tabulate(spec.totalHGrids)(h => if (h == 5) 0.0 else (h * 37 % 1024 + 1) / 28.0)
+    for (a <- Seq(repeated, distinct)) {
+      val want = mgridTotal(a.filter(_ != 0.0), spec.totalHGrids)
+      assert(slotTotal(a, spec, new Memo) == want)
+      assert(totalPerSlot(Array(a, a.reverse), spec)(0) == want)
+    }
+  }
+
+  test("Memo equals auto bit for bit over keys that share α, with a = 0 and m = 1") {
+    val memo = new Memo
+    val keys = for {
+      a <- Seq(0.0, 1 / 28.0, 5 / 28.0, 2.5, 40.0)
+      b <- Seq(0.0, 0.3, 12.0, 900.0)
+      m <- Seq(1, 2, 16, 4096)
+    } yield (a, b, m)
+    // twice: the first pass fills each α's window, the second hits
+    for (_ <- 1 to 2; (a, b, m) <- keys)
+      assert(memo(a, b, m) == auto(a, b, m), s"a=$a b=$b m=$m")
+    assert(memo.size == keys.size)
   }
 
   test("mgridTotal on an empty MGrid is zero") {
