@@ -33,6 +33,10 @@ class ExprPerfBench extends AnyFunSuite {
   private lazy val table: Seq[(Int, Double, Double, Double, Double)] = {
     val ref = ExpressionError.auto(a, b, m)
     val ks = Seq(10, 25, 50, 100, 250)
+    // warm the JIT on every (variant, K) first, so no row is timed while it compiles
+    for (_ <- 1 to 3; k <- ks) {
+      ExpressionError.naive(a, b, m, k); ExpressionError.fast(a, b, m, k); ExpressionError.auto(a, b, m)
+    }
     val rows = ks.map { k =>
       val (vNaive, tNaive) = med(ExpressionError.naive(a, b, m, k))
       val (_, tFast) = med(ExpressionError.fast(a, b, m, k))

@@ -24,7 +24,7 @@ final case class SlotEval(
   * comparable across n.
   *
   * @param models      prediction tiers to evaluate
-  * @param testDay     held-out day for real error / dispatch
+  * @param testDay     held-out day for real error
   * @param valDays     days whose predictions estimate MAE(f) (Eq. 20);
   *                    each needs k earlier days for every HA(k) tier
   * @param trainWindow α_ij estimation window (days before testDay)
@@ -49,10 +49,10 @@ final case class EvalConfig(
   * Reads the city's [[CountCube]], built once per city; nothing here runs
   * a Spark job. The α surface is summed once per evaluator. Each new
   * grid size then costs plain array arithmetic over the cube: MGrid block
-  * sums, HA(k) predictions, Eq. 20 model error, test-day real error and
-  * the expression-error kernel, in one parallel pass over the slots. Search
-  * algorithms pay one evaluation per *distinct* grid size they visit, the
-  * cost unit of the paper's Table IV.
+  * sums, the tiers' HA(k) predictions ([[ModelTier.predict]]), Eq. 20 model
+  * error, test-day real error and the expression-error kernel, in one
+  * parallel pass over the slots. Search algorithms pay one evaluation per
+  * *distinct* grid size they visit, the cost unit of the paper's Table IV.
   */
 final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
   require(cfg.testDay < cube.days,
@@ -102,7 +102,7 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
     val modelErr = cfg.models.map { mt =>
       mt.name -> cfg.valDays.map { d =>
-        val pred = haPredict(spec, counts, mt.k, d)
+        val pred = mt.predict(counts, d)
         val act = counts(d)
         var e = 0.0
         var i = 0
@@ -112,20 +112,9 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     }.toMap
     val realErr = cfg.models.map { mt =>
       mt.name -> (if (!cfg.computeReal) 0.0
-        else testDayRealErr(spec, s, haPredict(spec, counts, mt.k, cfg.testDay)))
+        else testDayRealErr(spec, s, mt.predict(counts, cfg.testDay)))
     }.toMap
     SlotEval(s, ExpressionError.slotTotal(alpha(s), spec, memo), modelErr, realErr)
-  }
-
-  /** HA(k) prediction of day `d` per MGrid: the mean of days d−k … d−1. */
-  private def haPredict(spec: GridSpec, counts: Int => Array[Long], k: Int, d: Int): Array[Double] = {
-    val sum = new Array[Long](spec.n)
-    for (day <- d - k until d) {
-      val c = counts(day)
-      var i = 0
-      while (i < sum.length) { sum(i) += c(i); i += 1 }
-    }
-    sum.map(_.toDouble / k)
   }
 
   /** Test-day real error of one slot, Σ_ij |λ̂_i/m_i − λ_ij| over every
@@ -141,23 +130,4 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     }
     e
   }
-
-  /** Test-day HA(k) predictions per slot as a dense per-MGrid array
-    * (index = mcx·nSide + mcy) — the dispatch simulator's demand signal.
-    */
-  def testPredictions(nSide: Int, model: ModelTier): Map[Int, Array[Double]] = {
-    val spec = GridSpec(nSide, cube.side)
-    bySlot(s => haPredict(spec, d => cube.blockSums(spec, d, s), model.k, cfg.testDay))
-  }
-
-  /** Test-day *actual* per-MGrid counts — the paper's "using real order
-    * data" dispatch variant (model error zero by construction).
-    */
-  def testActuals(nSide: Int): Map[Int, Array[Double]] = {
-    val spec = GridSpec(nSide, cube.side)
-    bySlot(s => cube.blockSums(spec, cfg.testDay, s).map(_.toDouble))
-  }
-
-  private def bySlot(f: Int => Array[Double]): Map[Int, Array[Double]] =
-    (0 until CityConfig.Slots).map(s => s -> f(s)).toMap
 }

@@ -18,7 +18,7 @@ import java.util.stream.IntStream
   *  - [[naive]]  — paper Algorithm 1, O(mK²) total work;
   *  - [[fast]]   — paper Algorithm 2, O(mK), via incremental prefix sums
   *                 of the Pois(b) mass (Eq. 16–19);
-  *  - [[auto]]   — production variant: same prefix-sum scheme but
+  *  - [[auto]]   — production variant: [[fast]]'s prefix-sum sweep, but
   *                 iterating only the ±12σ windows of both Poissons, each
   *                 pmf seeded once in log space at its mode and filled
   *                 outward by the ratio recurrence. A literal
@@ -116,37 +116,16 @@ object ExpressionError {
   def fast(a: Double, b: Double, m: Int, K: Int): Double = {
     require(m >= 1 && K >= 0 && a >= 0 && b >= 0)
     if (m == 1) return 0.0
-    val kmMax = (m - 1) * K
-    // totals C0(Km), C1(Km)
-    var p2 = math.exp(-b)
-    var c0Tot = 0.0
-    var c1Tot = 0.0
-    var km = 0
-    while (km <= kmMax) {
-      c0Tot += p2; c1Tot += km * p2
-      p2 = p2 * b / (km + 1)
-      km += 1
-    }
-    // sweep k_h, advancing the prefix pointer u over k_m
-    var p1 = math.exp(-a)
-    var pU = math.exp(-b) // P_b(u)
-    var u = 0
-    var c0 = 0.0
-    var c1 = 0.0
-    var e = 0.0
-    var kh = 0
-    while (kh <= K) {
-      val t = (m - 1).toLong * kh
-      while (u < t && u <= kmMax) {
-        c0 += pU; c1 += u * pU
-        pU = pU * b / (u + 1)
-        u += 1
-      }
-      e += p1 * ((m - 1).toDouble * kh * (2 * c0 - c0Tot) - (2 * c1 - c1Tot))
-      p1 = p1 * a / (kh + 1)
-      kh += 1
-    }
-    e / m
+    sweep(recurrencePmf(a, K), 0L, recurrencePmf(b, (m - 1) * K), 0L, m)
+  }
+
+  /** Pois(mu) pmf over [0, kMax] by Eq. 14's recurrence from e^{−mu}. */
+  private def recurrencePmf(mu: Double, kMax: Int): Array[Double] = {
+    val p = new Array[Double](kMax + 1)
+    p(0) = math.exp(-mu)
+    var k = 0
+    while (k < kMax) { p(k + 1) = p(k) * mu / (k + 1); k += 1 }
+    p
   }
 
   // window half-width in σ; the mass left outside is ≤ 1.5e-27 (measured
@@ -188,8 +167,14 @@ object ExpressionError {
     require(m >= 1 && a >= 0 && b >= 0)
     if (m == 1) return 0.0
     if (a == 0.0) return b / m // exact: E|Y/m| = b/m for empty HGrid
-    val pb = poisWindow(b)
-    val bLo = windowLo(b)
+    sweep(windowOf(a), windowLo(a), poisWindow(b), windowLo(b), m)
+  }
+
+  /** Alg. 2's prefix-sum sweep (Eq. 16–19): `pa` is the Pois(a) pmf from
+    * k_h = aLo, `pb` the Pois(b) pmf from k_m = bLo. The totals C0, C1 run
+    * over `pb`; the prefix pointer u over k_m advances with k_h.
+    */
+  private def sweep(pa: Array[Double], aLo: Long, pb: Array[Double], bLo: Long, m: Int): Double = {
     val bHi = bLo + pb.length - 1
     var i = 0
     var c0Tot = 0.0
@@ -198,8 +183,6 @@ object ExpressionError {
       c0Tot += pb(i); c1Tot += (bLo + i) * pb(i)
       i += 1
     }
-    val pa = windowOf(a)
-    val aLo = windowLo(a)
     var u = bLo
     var c0 = 0.0
     var c1 = 0.0

@@ -35,26 +35,23 @@ object Search {
 
   /** Ternary Search (paper Algorithm 4) on [lo, hi] (paper: l=1, r=√N).
     *
-    * Integer-safe third points: the paper's ⌈⅔r+⅓l⌉ can equal `r` when
-    * r−l = 2, which would loop forever; we clamp the probes strictly
-    * inside (l, r), preserving the drop-one-third contraction.
+    * While r−l > 2 the third points ml = l+⌊(r−l)/3⌋ and mr = r−⌊(r−l)/3⌋
+    * lie strictly inside (l, r), and one third is dropped per round. At
+    * r−l = 2 the paper's ⌈⅔r+⅓l⌉ would equal `r` and loop forever, so one
+    * explicit step compares the ends and drops the worse one; the better
+    * of the last two points is the result.
     */
   def ternary(f: Int => Double, lo: Int, hi: Int): Result = {
     require(lo <= hi, s"empty domain [$lo, $hi]")
     val memo = new Memo(f, lo, hi)
     var l = lo
     var r = hi
-    while (r - l > 1) {
-      var ml = l + (r - l) / 3
-      var mr = r - (r - l) / 3
-      if (ml <= l) ml = l + 1
-      if (mr >= r) mr = r - 1
-      if (mr <= ml) mr = ml + (if (ml < r - 1) 1 else 0)
-      if (mr == ml) { // interval of width 2: compare the midpoint's sides
-        if (memo(l) > memo(r)) l = ml else r = ml
-      } else if (memo(ml) > memo(mr)) l = ml
-      else r = mr
+    while (r - l > 2) {
+      val ml = l + (r - l) / 3
+      val mr = r - (r - l) / 3
+      if (memo(ml) > memo(mr)) l = ml else r = mr
     }
+    if (r - l == 2) { if (memo(l) > memo(r)) l += 1 else r -= 1 }
     val best = if (memo(l) > memo(r)) r else l
     Result(best, memo.evals)
   }

@@ -93,26 +93,36 @@ object Experiments {
 
   /** Memoizing dispatch runner: simulates an algorithm at a grid size over
     * any slot subset of the city's test-day orders ([[Env.orders]], read on
-    * construction), with per-`nSide` predictions and [[GridSpec]]s cached.
+    * construction). Its demand per slot is read from the count cube: the
+    * model's HA(k) prediction of [[TestDay]], or that day's block sums. The
+    * per-`nSide` demand and [[GridSpec]]s are cached.
     */
   final class Dispatcher(env: Env, model: ModelTier) {
     private val orders = env.orders
-    private val ev = env.evaluator(Seq(model), computeReal = false)
     private val predCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
     private val actCache = mutable.Map.empty[Int, Map[Int, Array[Double]]]
     private val specs = mutable.Map.empty[Int, GridSpec]
 
-    def preds(nSide: Int): Map[Int, Array[Double]] =
-      predCache.getOrElseUpdate(nSide, ev.testPredictions(nSide, model))
+    private def grid(nSide: Int): GridSpec = specs.getOrElseUpdate(nSide, GridSpec(nSide, env.cube.side))
 
-    def actuals(nSide: Int): Map[Int, Array[Double]] =
-      actCache.getOrElseUpdate(nSide, ev.testActuals(nSide))
+    /** Test-day predictions per slot, dense per MGrid (index mcx·nSide + mcy). */
+    def preds(nSide: Int): Map[Int, Array[Double]] = predCache.getOrElseUpdate(nSide, {
+      val g = grid(nSide)
+      AllSlots.map(s => s -> model.predict(d => env.cube.blockSums(g, d, s), TestDay)).toMap
+    })
+
+    /** Test-day actual counts per slot: the paper's "using real order data"
+      * variant, with model error zero by construction.
+      */
+    def actuals(nSide: Int): Map[Int, Array[Double]] = actCache.getOrElseUpdate(nSide, {
+      val g = grid(nSide)
+      AllSlots.map(s => s -> env.cube.blockSums(g, TestDay, s).map(_.toDouble)).toMap
+    })
 
     def run(spec: Algorithms.Spec, nSide: Int, slots: Seq[Int] = AllSlots,
             useActuals: Boolean = false): SimResult = {
       val p = if (useActuals) actuals(nSide) else preds(nSide)
-      val grid = specs.getOrElseUpdate(nSide, GridSpec(nSide, env.cube.side))
-      Algorithms.runSlots(spec, env.city, grid, orders, p, slots)
+      Algorithms.runSlots(spec, env.city, grid(nSide), orders, p, slots)
     }
 
     def servedOneSlot(nSide: Int, slot: Int): Double = run(Algorithms.Polar, nSide, Seq(slot)).served

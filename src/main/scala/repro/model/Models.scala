@@ -14,6 +14,21 @@ package repro.model
   */
 final case class ModelTier(name: String, k: Int) {
   require(k >= 1)
+
+  /** HA(k) prediction of `day` per MGrid: the mean of `counts` over days
+    * day−k … day−1, where `counts(d)` is one slot's per-MGrid counts of
+    * day `d`. A window that starts before day 0 is rejected.
+    */
+  def predict(counts: Int => Array[Long], day: Int): Array[Double] = {
+    require(day >= k, s"HA($k) prediction of day $day reads days ${day - k} until $day")
+    val sum = counts(day - k).clone()
+    for (d <- day - k + 1 until day) {
+      val c = counts(d)
+      var i = 0
+      while (i < sum.length) { sum(i) += c(i); i += 1 }
+    }
+    sum.map(_.toDouble / k)
+  }
 }
 
 object Models {

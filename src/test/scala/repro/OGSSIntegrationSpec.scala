@@ -6,7 +6,7 @@ import repro.dispatch.Algorithms
 import repro.model.ModelTier
 
 /** End-to-end OGSS on the toy city: searches over the real upper-bound
-  * objective, plus dispatch plumbed from evaluator predictions.
+  * objective, plus dispatch plumbed from the model's test-day predictions.
   */
 class OGSSIntegrationSpec extends SparkSpec {
 
@@ -14,9 +14,17 @@ class OGSSIntegrationSpec extends SparkSpec {
   private lazy val events = EventGen.eventsDf(spark, toy).cache()
   private val tiers = Seq(ModelTier("lastday", 1), ModelTier("ha8", 8))
 
-  private lazy val ev = new Evaluator(EventOracle.cube(events, 16, toy.days),
+  private lazy val cube = EventOracle.cube(events, 16, toy.days)
+  private lazy val ev = new Evaluator(cube,
     EvalConfig(models = tiers, testDay = 11,
       valDays = Seq(9, 10), trainWindow = 8))
+
+  /** Day 11's ha8 predictions and actual counts per slot at nSide 4. */
+  private lazy val spec4 = GridSpec(4, 16)
+  private lazy val preds: Map[Int, Array[Double]] =
+    (0 until CityConfig.Slots).map(s => s -> tiers(1).predict(d => cube.blockSums(spec4, d, s), 11)).toMap
+  private lazy val actuals: Map[Int, Array[Double]] =
+    (0 until CityConfig.Slots).map(s => s -> cube.blockSums(spec4, 11, s).map(_.toDouble)).toMap
 
   private val slot = 37 // evening peak
 
@@ -57,7 +65,6 @@ class OGSSIntegrationSpec extends SparkSpec {
     val fineSide = 16
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     assert(orders.nonEmpty)
-    val preds = ev.testPredictions(4, tiers(1))
     val res = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, preds, orders.keys.toSeq)
     assert(res.demand > 0)
     assert(res.served <= res.demand + 1e-9)
@@ -69,10 +76,9 @@ class OGSSIntegrationSpec extends SparkSpec {
     val fineSide = 16
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
-    val actual = ev.testActuals(4)
     // adversarial predictions: reverse the per-MGrid demand ranking
-    val reversed = actual.map { case (s, a) => s -> a.reverse }
-    val good = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, actual, slots)
+    val reversed = actuals.map { case (s, a) => s -> a.reverse }
+    val good = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, actuals, slots)
     val bad = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, reversed, slots)
     assert(good.served > bad.served, s"good=${good.served} bad=${bad.served}")
   }
@@ -81,7 +87,6 @@ class OGSSIntegrationSpec extends SparkSpec {
     val fineSide = 16
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
-    val preds = ev.testPredictions(4, tiers(1))
     val polar = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, preds, slots)
     val ls = Algorithms.runSlots(Algorithms.Ls, toy, GridSpec(4, fineSide), orders, preds, slots)
     assert(ls.revenue >= polar.revenue - 1e-6)
@@ -92,7 +97,6 @@ class OGSSIntegrationSpec extends SparkSpec {
     val fineSide = 16
     val orders = EventOracle.ordersBySlot(events, testDay = 11, fineSide)
     val slots = orders.keys.toSeq
-    val preds = ev.testPredictions(4, tiers(1))
     val polar = Algorithms.runSlots(Algorithms.Polar, toy, GridSpec(4, fineSide), orders, preds, slots)
     val daif = Algorithms.runSlots(Algorithms.Daif, toy, GridSpec(4, fineSide), orders, preds, slots)
     assert(daif.served >= polar.served - 1e-6)

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{EventOracle, Oracle, SparkSpec}
 import repro.data.{CityConfig, CountCube, EventGen, GridCounts}
 import repro.model.{ModelTier, Models}
@@ -215,25 +214,6 @@ class EvaluatorSpec extends SparkSpec {
       new Evaluator(cube, EvalConfig(tiers, testDay = 12, valDays = Seq(9, 10), trainWindow = 8))
     }
     assert(day.getMessage.contains("testDay 12"), day.getMessage)
-  }
-
-  test("testPredictions: dense arrays with the right shape and mass") {
-    val preds = ev.testPredictions(4, tiers(2)) // ha8
-    assert(preds.nonEmpty)
-    assert(preds.values.forall(_.length == 16))
-    assert(preds.values.forall(_.forall(_ >= 0.0)))
-    val slotTotal = preds.map { case (_, a) => a.sum }.sum
-    val expect = toy.dailyOrders
-    assert(math.abs(slotTotal - expect) / expect < 0.2, s"pred mass=$slotTotal")
-  }
-
-  test("testActuals matches the test-day counts") {
-    val act = ev.testActuals(4)
-    val direct = GridCounts.at(events, 4).where(col("day") === 11)
-      .select("slot", "cx", "cy", "cnt").collect()
-      .map(r => (r.getInt(0), r.getInt(1) * 4 + r.getInt(2)) -> r.getLong(3).toDouble).toMap
-    for (s <- 0 until 48; i <- 0 until 16)
-      assert(act(s)(i) == direct.getOrElse((s, i), 0.0), s"slot $s MGrid $i")
   }
 
   test("an evaluation does not depend on parallelism") {

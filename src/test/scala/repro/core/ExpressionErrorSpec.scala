@@ -71,6 +71,96 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     }
   }
 
+  /** Alg. 2 as a self-contained loop, before it shared [[ExpressionError]]'s
+    * sweep with `auto`: the reference for the shared sweep's bits.
+    */
+  private def fastLoop(a: Double, b: Double, m: Int, K: Int): Double = {
+    if (m == 1) return 0.0
+    val kmMax = (m - 1) * K
+    var p2 = math.exp(-b)
+    var c0Tot = 0.0
+    var c1Tot = 0.0
+    var km = 0
+    while (km <= kmMax) {
+      c0Tot += p2; c1Tot += km * p2
+      p2 = p2 * b / (km + 1)
+      km += 1
+    }
+    var p1 = math.exp(-a)
+    var pU = math.exp(-b)
+    var u = 0
+    var c0 = 0.0
+    var c1 = 0.0
+    var e = 0.0
+    var kh = 0
+    while (kh <= K) {
+      val t = (m - 1).toLong * kh
+      while (u < t && u <= kmMax) {
+        c0 += pU; c1 += u * pU
+        pU = pU * b / (u + 1)
+        u += 1
+      }
+      e += p1 * ((m - 1).toDouble * kh * (2 * c0 - c0Tot) - (2 * c1 - c1Tot))
+      p1 = p1 * a / (kh + 1)
+      kh += 1
+    }
+    e / m
+  }
+
+  /** The windowed kernel as a self-contained loop, before it shared its
+    * sweep with Alg. 2.
+    */
+  private def autoLoop(a: Double, b: Double, m: Int): Double = {
+    if (m == 1) return 0.0
+    if (a == 0.0) return b / m
+    val pb = poisWindow(b)
+    val bLo = windowLo(b)
+    val bHi = bLo + pb.length - 1
+    var i = 0
+    var c0Tot = 0.0
+    var c1Tot = 0.0
+    while (i < pb.length) {
+      c0Tot += pb(i); c1Tot += (bLo + i) * pb(i)
+      i += 1
+    }
+    val pa = poisWindow(a)
+    val aLo = windowLo(a)
+    var u = bLo
+    var c0 = 0.0
+    var c1 = 0.0
+    var e = 0.0
+    i = 0
+    while (i < pa.length) {
+      val kh = aLo + i
+      val t = (m - 1).toLong * kh
+      while (u < t && u <= bHi) {
+        val p = pb((u - bLo).toInt)
+        c0 += p; c1 += u * p
+        u += 1
+      }
+      e += pa(i) * ((m - 1).toDouble * kh * (2 * c0 - c0Tot) - (2 * c1 - c1Tot))
+      i += 1
+    }
+    e / m
+  }
+
+  test("fast and auto share one sweep and keep the bits of their separate loops") {
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    val as = Seq(0.0, 0.5, 2.0, 30.0)
+    val ms = Seq(1, 2, 64)
+    val bs = Seq(0.0, 3.0, 126.0, 600.0, 800.0)
+    for (k <- Seq(0, 1, 40, 250); m <- ms; b <- bs; a <- as) {
+      val (got, want) = (fast(a, b, m, k), fastLoop(a, b, m, k))
+      assert(bits(got) == bits(want), s"fast($a, $b, $m, $k): $got vs $want")
+    }
+    // e^{−800} underflows, and the literal Alg. 2 still reads 0 there
+    assert(fast(2.0, 800.0, 64, 40) == 0.0)
+    for (m <- ms; b <- bs; a <- as) {
+      val (got, want) = (auto(a, b, m), autoLoop(a, b, m))
+      assert(bits(got) == bits(want), s"auto($a, $b, $m): $got vs $want")
+    }
+  }
+
   test("auto agrees with fast on moderate parameters") {
     val cases = Seq((0.5, 2.0, 4), (1.0, 7.0, 8), (2.5, 10.0, 9), (0.1, 0.4, 16), (3.0, 30.0, 36))
     for ((a, b, m) <- cases) {

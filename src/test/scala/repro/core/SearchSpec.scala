@@ -65,6 +65,47 @@ class SearchSpec extends AnyFunSuite with PropChecks {
     })
   }
 
+  /** Ternary Search as its loop read when it clamped the third points
+    * inside (l, r) on every round: the reference for the visit order.
+    */
+  private def clampedTernary(f: Int => Double, lo: Int, hi: Int): Search.Result = {
+    val cache = mutable.Map.empty[Int, Double]
+    def memo(x: Int): Double = cache.getOrElseUpdate(x, f(x))
+    var l = lo
+    var r = hi
+    while (r - l > 1) {
+      var ml = l + (r - l) / 3
+      var mr = r - (r - l) / 3
+      if (ml <= l) ml = l + 1
+      if (mr >= r) mr = r - 1
+      if (mr <= ml) mr = ml + (if (ml < r - 1) 1 else 0)
+      if (mr == ml) {
+        if (memo(l) > memo(r)) l = ml else r = ml
+      } else if (memo(ml) > memo(mr)) l = ml
+      else r = mr
+    }
+    val best = if (memo(l) > memo(r)) r else l
+    Search.Result(best, cache.size)
+  }
+
+  test("ternary visits the same points in the same order as the clamped loop") {
+    val rnd = new scala.util.Random(20221)
+    for (_ <- 1 to 20000) {
+      val lo = 1 + rnd.nextInt(10)
+      val hi = lo + rnd.nextInt(41) // widths 0–40
+      // half of the objectives take few distinct values, so probes often tie
+      val ties = rnd.nextBoolean()
+      val values = Array.fill(hi + 1)(if (ties) rnd.nextInt(6).toDouble else rnd.nextDouble())
+      def visits(search: (Int => Double) => Search.Result): (Search.Result, Seq[Int]) = {
+        val seen = mutable.ArrayBuffer.empty[Int]
+        val r = search { x => seen += x; values(x) }
+        (r, seen.toSeq)
+      }
+      val want = visits(clampedTernary(_, lo, hi))
+      assert(visits(Search.ternary(_, lo, hi)) == want, s"[$lo, $hi] ${values.drop(lo).mkString(",")}")
+    }
+  }
+
   test("iterative finds the minimum from the default start") {
     for (opt <- Seq(12, 16, 20, 23)) {
       val r = Search.iterative(unimodal(opt), p0 = 16, b = 4, lo = 1, hi = 64)

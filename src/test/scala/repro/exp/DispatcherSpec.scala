@@ -1,9 +1,11 @@
 package repro.exp
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.data.CityConfig
-import repro.model.Models
+import repro.core.GridSpec
+import repro.data.{CityConfig, GridCounts}
+import repro.model.{ModelTier, Models}
 
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
@@ -12,6 +14,8 @@ import scala.jdk.CollectionConverters._
   * stretched to the experiments' 35 days so that day 34 (`TestDay`) exists.
   */
 class DispatcherSpec extends SparkSpec {
+
+  private lazy val env = Experiments.prepare(spark, CityConfig.toy.copy(days = 35))
 
   /** `body`'s result and the Spark jobs started while it ran. Listener
     * events arrive on their own thread, in order, so `body` is bracketed
@@ -64,5 +68,29 @@ class DispatcherSpec extends SparkSpec {
     }
     assert(jobs == 0, s"$jobs Spark jobs")
     assert(again == served)
+  }
+
+  test("preds are the model's mean of the test day's k earlier block sums, per slot") {
+    val ha8 = ModelTier("ha8", 8)
+    val d = new Experiments.Dispatcher(env, ha8)
+    val spec = GridSpec(4, env.cube.side)
+    val preds = d.preds(4)
+    assert(preds.keySet == (0 until CityConfig.Slots).toSet)
+    for (s <- 0 until CityConfig.Slots) {
+      val days = Experiments.TestDay - ha8.k until Experiments.TestDay
+      val want = Array.tabulate(spec.n)(i => days.map(env.cube.blockSums(spec, _, s)(i)).sum.toDouble / ha8.k)
+      assert(preds(s).sameElements(want), s"slot $s")
+    }
+    assert(d.preds(4) eq preds)
+  }
+
+  test("actuals match the test-day counts") {
+    val act = new Experiments.Dispatcher(env, Models.ha4).actuals(4)
+    val direct = GridCounts.at(env.events, 4).where(col("day") === Experiments.TestDay)
+      .select("slot", "cx", "cy", "cnt").collect()
+      .map(r => (r.getInt(0), r.getInt(1) * 4 + r.getInt(2)) -> r.getLong(3).toDouble).toMap
+    assert(direct.nonEmpty)
+    for (s <- 0 until 48; i <- 0 until 16)
+      assert(act(s)(i) == direct.getOrElse((s, i), 0.0), s"slot $s MGrid $i")
   }
 }
