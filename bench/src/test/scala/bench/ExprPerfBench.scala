@@ -2,10 +2,12 @@ package bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ExpressionError, GridSpec, Rng}
-import repro.data.CityConfig
+import repro.data.{CityConfig, TestData}
 import repro.exp.Experiments
 
-import ExprPerfBench.CityRow
+import java.util.concurrent.{Callable, ForkJoinPool}
+
+import ExprPerfBench.{CityRounds, CityRow}
 
 /** Appendix D (Fig. 16): cost of computing one HGrid's expression error as
   * K grows — straightforward double sum (Alg. 1, O(mK²)) vs the fast
@@ -58,7 +60,7 @@ class ExprPerfBench extends AnyFunSuite {
     val city = CityConfig.xian.copy(dailyOrders = CityConfig.xian.dailyOrders * volume)
     val days = Experiments.TrainWindow
     Array.tabulate(CityConfig.Slots, city.genSide * city.genSide) { (s, c) =>
-      Rng.poisson(days * city.mu(s, c), Rng.key(city.seed, s, c)) / days.toDouble
+      Rng.poisson(days * TestData.mu(city, s, c), Rng.key(city.seed, s, c)) / days.toDouble
     }
   }
 
@@ -68,19 +70,32 @@ class ExprPerfBench extends AnyFunSuite {
       alpha = xianAlpha(volume)
       nSide <- Seq(1, 2, 4, 8, 16, 32)
     } yield (volume, alpha, GridSpec(nSide, CityConfig.xian.genSide))
-    // warm the JIT on every case first, so no case is timed while it compiles
-    for (_ <- 1 to 3; (_, alpha, spec) <- cases) ExpressionError.totalPerSlot(alpha, spec)
-    val rows = cases.map { case (volume, alpha, spec) =>
+    // totalPerSlot's parallel stream runs on the pool that calls it, so a
+    // one-thread pool times every row on one thread
+    val pool = new ForkJoinPool(1)
+    def run(alpha: Array[Array[Double]], spec: GridSpec): (Double, Double) =
+      pool.submit(new Callable[(Double, Double)] {
+        def call(): (Double, Double) = time(ExpressionError.totalPerSlot(alpha, spec).sum)
+      }).get()
+    val rounds = try {
+      // warm the JIT on every case first, so no case is timed while it compiles
+      for (_ <- 1 to 3; (_, alpha, spec) <- cases) run(alpha, spec)
+      // each round times every case once, so a slow spell of the host
+      // spreads over all rows instead of landing on one
+      Seq.fill(CityRounds)(cases.map { case (_, alpha, spec) => run(alpha, spec) })
+    } finally pool.shutdown()
+    val rows = cases.zipWithIndex.map { case ((volume, alpha, spec), c) =>
       val calls = alpha.iterator.map(_.count(_ != 0.0).toLong).sum
       val lookups = alpha.iterator.map { a =>
         a.indices.iterator.filter(a(_) != 0.0).map(h => (spec.mgridOf(h), a(h))).toSet.size.toLong
       }.sum
       val memo = new ExpressionError.Memo
       alpha.foreach(ExpressionError.slotTotal(_, spec, memo))
-      val (total, ms) = med(ExpressionError.totalPerSlot(alpha, spec).sum)
-      CityRow(volume, spec.nSide, calls, lookups, memo.size, ms, total)
+      val ms = rounds.map(_(c)._2).sorted.apply(CityRounds / 2)
+      CityRow(volume, spec.nSide, calls, lookups, memo.size, ms, rounds.head(c)._1)
     }
-    println("EXPRPERF | xian alpha surface, 48 slots | volume | nSide | calls | lookups | misses | totalPerSlot (ms) | sum of expression error")
+    println(s"EXPRPERF | xian alpha surface, 48 slots, one thread, median of $CityRounds interleaved rounds | " +
+      "volume | nSide | calls | lookups | misses | totalPerSlot (ms) | sum of expression error")
     rows.foreach { r =>
       println(f"EXPRPERF | totalPerSlot | ${r.volume}%4.1f | ${r.nSide}%3d | ${r.calls}%7d | ${r.lookups}%7d | " +
         f"${r.misses}%6d | ${r.ms}%10.3f | ${r.total}%.6e")
@@ -125,6 +140,9 @@ class ExprPerfBench extends AnyFunSuite {
 }
 
 object ExprPerfBench {
+  /** Interleaved rounds behind each city row's median time. */
+  val CityRounds = 11
+
   /** One evaluation's kernel work at one (volume, nSide): `calls` present
     * HGrids, `lookups` distinct α per (slot, MGrid) — what `slotTotal`
     * asks the memo — and `misses` distinct keys the memo computed.

@@ -47,12 +47,13 @@ final case class EvalConfig(
 /** Upper-bound evaluator (paper Algorithm 3), memoized per grid size.
   *
   * Reads the city's [[CountCube]], built once per city; nothing here runs
-  * a Spark job. The α surface is summed once per evaluator. Each new
-  * grid size then costs plain array arithmetic over the cube: MGrid block
-  * sums, the tiers' HA(k) predictions ([[ModelTier.predict]]), Eq. 20 model
-  * error, test-day real error and the expression-error kernel, in one
-  * parallel pass over the slots. Search algorithms pay one evaluation per
-  * *distinct* grid size they visit, the cost unit of the paper's Table IV.
+  * a Spark job. The α surface and the test day's HGrid counts are read
+  * once per evaluator, when it is built. Each new grid size then costs
+  * plain array arithmetic over the cube: MGrid window sums, the tiers'
+  * HA(k) predictions ([[ModelTier.predict]]), Eq. 20 model error, test-day
+  * real error and the expression-error kernel, in one parallel pass over
+  * the slots. Search algorithms pay one evaluation per *distinct* grid
+  * size they visit, the cost unit of the paper's Table IV.
   */
 final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
   require(cfg.testDay < cube.days,
@@ -75,7 +76,13 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
   def close(): Unit = cache.clear()
 
   /** α_ij over the train window, per slot (n-independent). */
-  private lazy val alpha = cube.alpha(cfg.testDay - cfg.trainWindow, cfg.testDay)
+  private val alpha = cube.alpha(cfg.testDay - cfg.trainWindow, cfg.testDay)
+
+  /** The test day's count per slot and HGrid (a one-day α), read by real
+    * error (n-independent).
+    */
+  private val testCounts =
+    if (cfg.computeReal) cube.alpha(cfg.testDay, cfg.testDay + 1) else Array.empty[Array[Double]]
 
   /** One parallel pass over the slots (the JDK's common pool); each slot
     * task computes everything of its own slot, and the tasks share one
@@ -89,21 +96,17 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     out.iterator.map(e => e.slot -> e).toMap
   }
 
-  /** Block sums, HA(k) predictions, model error (Eq. 20), test-day real
-    * error and expression error of one slot.
+  /** HA(k) predictions, model error (Eq. 20), test-day real error and
+    * expression error of one slot; every MGrid count is a window sum of
+    * the cube.
     */
   private def evalSlot(spec: GridSpec, s: Int, memo: ExpressionError.Memo): SlotEval = {
-    val firstDay = (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max
-    // the last day read: a validation day's counts, or the test day's HA(k)
-    // window; real error reads the test day per HGrid from the cube
-    val lastDay = if (cfg.computeReal) math.max(cfg.valDays.max, cfg.testDay - 1) else cfg.valDays.max
-    val mgrid = (firstDay to lastDay).map(d => cube.blockSums(spec, d, s))
-    val counts: Int => Array[Long] = d => mgrid(d - firstDay)
+    val window = (from: Int, until: Int) => cube.windowSums(spec, from, until, s)
+    val actuals = cfg.valDays.map(d => window(d, d + 1))
     // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
     val modelErr = cfg.models.map { mt =>
-      mt.name -> cfg.valDays.map { d =>
-        val pred = mt.predict(counts, d)
-        val act = counts(d)
+      mt.name -> cfg.valDays.zip(actuals).map { case (d, act) =>
+        val pred = mt.predict(window, d)
         var e = 0.0
         var i = 0
         while (i < spec.n) { e += math.abs(pred(i) - act(i)); i += 1 }
@@ -112,22 +115,21 @@ final class Evaluator(cube: CountCube, val cfg: EvalConfig) {
     }.toMap
     val realErr = cfg.models.map { mt =>
       mt.name -> (if (!cfg.computeReal) 0.0
-        else testDayRealErr(spec, s, mt.predict(counts, cfg.testDay)))
+        else testDayRealErr(spec, testCounts(s), mt.predict(window, cfg.testDay)))
     }.toMap
     SlotEval(s, ExpressionError.slotTotal(alpha(s), spec, memo), modelErr, realErr)
   }
 
   /** Test-day real error of one slot, Σ_ij |λ̂_i/m_i − λ_ij| over every
-    * HGrid, empty ones included.
+    * HGrid, empty ones included, with λ̂_i/m_i divided once per MGrid.
     */
-  private def testDayRealErr(spec: GridSpec, slot: Int, pred: Array[Double]): Double = {
-    val mg = spec.mgridOf
+  private def testDayRealErr(spec: GridSpec, counts: Array[Double], pred: Array[Double]): Double = {
     val m = spec.cellsPerM
+    val perHGrid = Array.tabulate(spec.n)(i => pred(i) / m(i))
+    val mg = spec.mgridOf
     var e = 0.0
-    for (h <- 0 until spec.totalHGrids) {
-      val i = mg(h)
-      e += math.abs(pred(i) / m(i) - cube(cfg.testDay, slot, h))
-    }
+    var h = 0
+    while (h < counts.length) { e += math.abs(perHGrid(mg(h)) - counts(h)); h += 1 }
     e
   }
 }

@@ -31,8 +31,9 @@ final case class GridSpec(nSide: Int, hSide: Int) {
   /** Flattened HGrid id. */
   def hgridId(hx: Int, hy: Int): Int = hx * hSide + hy
 
-  /** MGrid id of each HGrid id: the one HGrid → MGrid map, which block sums,
-    * the expression-error kernel, real error and dispatch all index.
+  /** MGrid id of each HGrid id: the one HGrid → MGrid map, which the
+    * expression-error kernel, real error and dispatch all index; the count
+    * cube's window sums read the same split through [[axisStart]].
     */
   lazy val mgridOf: Array[Int] = Array.tabulate(totalHGrids)(h => mgridId(h / hSide, h % hSide))
 
@@ -43,6 +44,12 @@ final case class GridSpec(nSide: Int, hSide: Int) {
     while (h < hSide) { a(mOfH(h)) += 1; h += 1 }
     a
   }
+
+  /** First HGrid row of each MGrid row (rows and columns alike); `nSide + 1`
+    * entries, the last being √N. MGrid row i is HGrid rows
+    * `axisStart(i) until axisStart(i + 1)`.
+    */
+  lazy val axisStart: Array[Int] = axisCells.scanLeft(0)(_ + _)
 
   /** m of each MGrid (flattened id → its HGrid count). */
   lazy val cellsPerM: Array[Int] =

@@ -87,13 +87,6 @@ final case class CityConfig(
     * around 8:00–9:00 (slots 16–18), higher evening peak 18:00–20:00.
     */
   lazy val slotProfile: Array[Double] = CityConfig.defaultProfile
-
-  /** Time-averaged expected events in generation cell `cell` during
-    * `slot` (days are i.i.d. around this, matching the paper's "workdays
-    * of the last month").
-    */
-  def mu(slot: Int, cell: Int): Double =
-    dailyOrders * slotProfile(slot) * cellShares(cell)
 }
 
 object CityConfig {

@@ -93,9 +93,9 @@ object Experiments {
 
   /** Memoizing dispatch runner: simulates an algorithm at a grid size over
     * any slot subset of the city's test-day orders ([[Env.orders]], read on
-    * construction). Its demand per slot is read from the count cube: the
-    * model's HA(k) prediction of [[TestDay]], or that day's block sums. The
-    * per-`nSide` demand and [[GridSpec]]s are cached.
+    * construction). Its demand per slot is a window sum of the count cube:
+    * the model's HA(k) prediction of [[TestDay]], or that day's MGrid
+    * counts. The per-`nSide` demand and [[GridSpec]]s are cached.
     */
   final class Dispatcher(env: Env, model: ModelTier) {
     private val orders = env.orders
@@ -108,7 +108,9 @@ object Experiments {
     /** Test-day predictions per slot, dense per MGrid (index mcx·nSide + mcy). */
     def preds(nSide: Int): Map[Int, Array[Double]] = predCache.getOrElseUpdate(nSide, {
       val g = grid(nSide)
-      AllSlots.map(s => s -> model.predict(d => env.cube.blockSums(g, d, s), TestDay)).toMap
+      AllSlots.map { s =>
+        s -> model.predict((from, until) => env.cube.windowSums(g, from, until, s), TestDay)
+      }.toMap
     })
 
     /** Test-day actual counts per slot: the paper's "using real order data"

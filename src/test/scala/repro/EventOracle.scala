@@ -2,7 +2,7 @@ package repro
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.data.{CountCube, GridCounts}
+import repro.data.{CountCube, GridCounts, TestData}
 
 /** The Spark twins of the driver-side builders, kept as their oracles: they
   * read the point events that [[repro.data.EventGen.events]] generates, or
@@ -17,7 +17,7 @@ object EventOracle {
     */
   def cube(events: DataFrame, side: Int, days: Int): CountCube = {
     import events.sparkSession.implicits._
-    CountCube.fromRows(side, days,
+    TestData.cubeFromRows(side, days,
       GridCounts.at(events, side)
         .select("day", "slot", "cx", "cy", "cnt")
         .as[(Int, Int, Int, Int, Long)]

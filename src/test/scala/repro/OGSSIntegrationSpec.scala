@@ -22,7 +22,9 @@ class OGSSIntegrationSpec extends SparkSpec {
   /** Day 11's ha8 predictions and actual counts per slot at nSide 4. */
   private lazy val spec4 = GridSpec(4, 16)
   private lazy val preds: Map[Int, Array[Double]] =
-    (0 until CityConfig.Slots).map(s => s -> tiers(1).predict(d => cube.blockSums(spec4, d, s), 11)).toMap
+    (0 until CityConfig.Slots).map { s =>
+      s -> tiers(1).predict((from, until) => cube.windowSums(spec4, from, until, s), 11)
+    }.toMap
   private lazy val actuals: Map[Int, Array[Double]] =
     (0 until CityConfig.Slots).map(s => s -> cube.blockSums(spec4, 11, s).map(_.toDouble)).toMap
 

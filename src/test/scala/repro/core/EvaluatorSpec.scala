@@ -231,6 +231,24 @@ class EvaluatorSpec extends SparkSpec {
     assert(evalAll() == oneThread)
   }
 
+  test("every SlotEval field equals the day-loop evaluator's by raw bits, nSide 1–16, real error on and off") {
+    def bits(e: SlotEval) = {
+      def raw(m: Map[String, Double]) = m.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }
+      (e.slot, java.lang.Double.doubleToRawLongBits(e.exprErr), raw(e.modelErr), raw(e.realErr))
+    }
+    for (computeReal <- Seq(true, false)) {
+      val ev = mkEval(computeReal)
+      val dayLoop = new EvaluatorSpec.DayLoop(cube, ev.cfg)
+      for (n <- 1 to 16) {
+        val got = ev(n)
+        val want = dayLoop(n)
+        assert(got.keySet == want.keySet)
+        for (s <- want.keys)
+          assert(bits(got(s)) == bits(want(s)), s"computeReal=$computeReal n=$n slot $s: ${got(s)} vs ${want(s)}")
+      }
+    }
+  }
+
   test("EvalConfig validation") {
     assertThrows[IllegalArgumentException] {
       EvalConfig(tiers, testDay = 5, valDays = Seq(9), trainWindow = 2)
@@ -247,5 +265,88 @@ class EvaluatorSpec extends SparkSpec {
     }
     assert(window.getMessage.contains("validation day 5") && window.getMessage.contains("HA(8)"),
       window.getMessage)
+  }
+}
+
+object EvaluatorSpec {
+
+  /** The evaluator as it was before the count cube held summed volumes,
+    * kept verbatim as the oracle of [[Evaluator]]: per slot it block-sums
+    * every day from the widest HA(k) window on, one HGrid at a time; each
+    * HA(k) prediction clones its first day's array and adds the others; α
+    * adds the train window's days per HGrid; real error reads the test day
+    * through `cube(testDay, slot, h)`, one HGrid at a time.
+    */
+  final class DayLoop(cube: CountCube, cfg: EvalConfig) {
+
+    private val alpha: Array[Array[Double]] = {
+      val (from, until) = (cfg.testDay - cfg.trainWindow, cfg.testDay)
+      val nDays = (until - from).toDouble
+      Array.tabulate(CityConfig.Slots) { s =>
+        val sum = new Array[Long](cube.cells)
+        for (d <- from until until) {
+          var c = 0
+          while (c < cube.cells) { sum(c) += cube(d, s, c); c += 1 }
+        }
+        sum.map(_ / nDays)
+      }
+    }
+
+    def apply(nSide: Int): Map[Int, SlotEval] = {
+      val spec = GridSpec(nSide, cube.side)
+      val memo = new ExpressionError.Memo
+      (0 until CityConfig.Slots).map(s => s -> evalSlot(spec, s, memo)).toMap
+    }
+
+    private def blockSums(spec: GridSpec, day: Int, slot: Int): Array[Long] = {
+      val mg = spec.mgridOf
+      val out = new Array[Long](spec.n)
+      var h = 0
+      while (h < cube.cells) { out(mg(h)) += cube(day, slot, h); h += 1 }
+      out
+    }
+
+    private def predict(k: Int, counts: Int => Array[Long], day: Int): Array[Double] = {
+      val sum = counts(day - k).clone()
+      for (d <- day - k + 1 until day) {
+        val c = counts(d)
+        var i = 0
+        while (i < sum.length) { sum(i) += c(i); i += 1 }
+      }
+      sum.map(_.toDouble / k)
+    }
+
+    private def evalSlot(spec: GridSpec, s: Int, memo: ExpressionError.Memo): SlotEval = {
+      val firstDay = (cfg.valDays :+ cfg.testDay).min - cfg.models.map(_.k).max
+      val lastDay = if (cfg.computeReal) math.max(cfg.valDays.max, cfg.testDay - 1) else cfg.valDays.max
+      val mgrid = (firstDay to lastDay).map(d => blockSums(spec, d, s))
+      val counts: Int => Array[Long] = d => mgrid(d - firstDay)
+      val modelErr = cfg.models.map { mt =>
+        mt.name -> cfg.valDays.map { d =>
+          val pred = predict(mt.k, counts, d)
+          val act = counts(d)
+          var e = 0.0
+          var i = 0
+          while (i < spec.n) { e += math.abs(pred(i) - act(i)); i += 1 }
+          e
+        }.sum / cfg.valDays.size
+      }.toMap
+      val realErr = cfg.models.map { mt =>
+        mt.name -> (if (!cfg.computeReal) 0.0
+          else testDayRealErr(spec, s, predict(mt.k, counts, cfg.testDay)))
+      }.toMap
+      SlotEval(s, ExpressionError.slotTotal(alpha(s), spec, memo), modelErr, realErr)
+    }
+
+    private def testDayRealErr(spec: GridSpec, slot: Int, pred: Array[Double]): Double = {
+      val mg = spec.mgridOf
+      val m = spec.cellsPerM
+      var e = 0.0
+      for (h <- 0 until spec.totalHGrids) {
+        val i = mg(h)
+        e += math.abs(pred(i) / m(i) - cube(cfg.testDay, slot, h))
+      }
+      e
+    }
   }
 }

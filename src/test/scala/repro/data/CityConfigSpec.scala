@@ -26,7 +26,7 @@ class CityConfigSpec extends AnyFunSuite {
   test("mu integrates to the daily volume over all slots and cells") {
     val c = CityConfig.toy
     val total = (0 until CityConfig.Slots).map { s =>
-      (0 until c.genSide * c.genSide).map(cell => c.mu(s, cell)).sum
+      (0 until c.genSide * c.genSide).map(cell => TestData.mu(c, s, cell)).sum
     }.sum
     assert(math.abs(total - c.dailyOrders) < 1e-6)
   }

@@ -3,9 +3,9 @@ package repro.data
 import repro.{EventOracle, Oracle, SparkSpec}
 import repro.core.GridSpec
 
-/** The dense count cube, built from the generator's draws: its cells, α
-  * and MGrid block sums, result-checked against GridCounts over the Spark
-  * events and against DuckDB.
+/** The count cube, built from the generator's draws: its cells, α, MGrid
+  * block sums and window sums, result-checked against GridCounts over the
+  * Spark events and against DuckDB.
   */
 class CountCubeSpec extends SparkSpec {
   import spark.implicits._
@@ -104,14 +104,41 @@ class CountCubeSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](cube4.blockSums(GridSpec(8, 4), 0, 0))
   }
 
+  test("windowSums() over 1, 3, 8 and all days equals GridCounts.at rows summed by mgridOf and day") {
+    val cube = CountCube.generate(toy, 16)
+    val rows = GridCounts.at(EventGen.eventsDf(spark, toy), 16)
+      .select("day", "slot", "cx", "cy", "cnt").as[(Int, Int, Int, Int, Long)].collect()
+    val windows = Seq((0, 1), (5, 6), (11, 12), (0, 3), (2, 5), (9, 12), (0, 8), (4, 12), (0, 12))
+    assert(toy.days == 12 && windows.map { case (from, until) => until - from }.toSet == Set(1, 3, 8, 12))
+    for (nSide <- Seq(3, 5, 7, 8); (from, until) <- windows) {
+      val spec = GridSpec(nSide, 16)
+      val want = Array.ofDim[Long](CityConfig.Slots, spec.n)
+      for ((d, s, cx, cy, cnt) <- rows if d >= from && d < until) want(s)(spec.mgridOf(cx * 16 + cy)) += cnt
+      for (s <- 0 until CityConfig.Slots)
+        assert(cube.windowSums(spec, from, until, s).sameElements(want(s)),
+          s"nSide $nSide, days $from until $until, slot $s")
+    }
+  }
+
+  test("windowSums() names the day or slot of a window outside the cube, empty or reversed") {
+    def msg(from: Int, until: Int, slot: Int): String =
+      intercept[IllegalArgumentException](cube8.windowSums(GridSpec(4, 8), from, until, slot)).getMessage
+    assert(msg(-1, 1, 0).contains("day -1"))
+    assert(msg(1, 3, 0).contains("day 3"))
+    assert(msg(0, 0, 0).contains("day 0"))
+    assert(msg(2, 1, 0).contains("day 2"))
+    assert(msg(0, 2, 48).contains("slot 48"))
+    assert(msg(0, 2, -1).contains("slot -1"))
+  }
+
   test("a count row outside the cube's days, slots or lattice is rejected by value") {
     def msg(row: (Int, Int, Int, Int, Long)): String =
-      intercept[IllegalArgumentException](CountCube.fromRows(4, 2, Seq(row))).getMessage
+      intercept[IllegalArgumentException](TestData.cubeFromRows(4, 2, Seq(row))).getMessage
     assert(msg((2, 0, 0, 0, 1L)).contains("day 2"))
     assert(msg((-1, 0, 0, 0, 1L)).contains("day -1"))
     assert(msg((0, 48, 0, 0, 1L)).contains("slot 48"))
     assert(msg((0, 0, 4, 0, 1L)).contains("(4, 0)"))
-    val cube = CountCube.fromRows(4, 2, Seq((1, 47, 3, 3, 5L)))
+    val cube = TestData.cubeFromRows(4, 2, Seq((1, 47, 3, 3, 5L)))
     assert(cube(1, 47, 15) == 5)
     def readMsg(read: => Any): String = intercept[IllegalArgumentException](read).getMessage
     assert(readMsg(cube(2, 0, 0)).contains("day 2"))

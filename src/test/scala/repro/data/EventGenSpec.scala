@@ -85,7 +85,7 @@ class EventGenSpec extends SparkSpec {
       .groupBy("slot", "cx", "cy").agg((sum("cnt") / toy.days).as("mean"))
       .orderBy(desc("mean")).head()
     val (slot, cx, cy, mean) = (hot.getInt(0), hot.getInt(1), hot.getInt(2), hot.getDouble(3))
-    val mu = toy.mu(slot, cx * g + cy)
+    val mu = TestData.mu(toy, slot, cx * g + cy)
     assert(math.abs(mean - mu) < 4 * math.sqrt(mu / toy.days) + 0.05, s"mean=$mean mu=$mu")
   }
 

@@ -4,6 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{GridSpec, Rng}
 import repro.data.{CityConfig, CountCube}
 
+import scala.collection.mutable
+
 class ModelsSpec extends AnyFunSuite {
 
   private lazy val toy = CityConfig.toy // 12 days, 600 orders/day
@@ -45,7 +47,7 @@ class ModelsSpec extends AnyFunSuite {
   test("predict: dense arrays with the right shape and mass") {
     val spec = GridSpec(4, cube.side)
     val ha8 = ModelTier("ha8", 8)
-    val preds = (0 until CityConfig.Slots).map(s => ha8.predict(d => cube.blockSums(spec, d, s), 11))
+    val preds = (0 until CityConfig.Slots).map(s => ha8.predict((from, until) => cube.windowSums(spec, from, until, s), 11))
     assert(preds.nonEmpty)
     assert(preds.forall(_.length == 16))
     assert(preds.forall(_.forall(_ >= 0.0)))
@@ -57,9 +59,15 @@ class ModelsSpec extends AnyFunSuite {
   test("predict is the k-day mean of the block sums, and a window before day 0 fails loudly") {
     for (n <- Seq(1, 3, 4); s <- Seq(0, 17, 37); k <- Seq(1, 3, 8); day <- Seq(k, 11)) {
       val spec = GridSpec(n, cube.side)
-      val read = (0 until cube.days).map(d => cube.blockSums(spec, d, s))
-      val before = read.map(_.clone())
-      val got = ModelTier(s"ha$k", k).predict(read, day)
+      // every window predict reads, with a copy of what it was given
+      val read = mutable.ArrayBuffer.empty[((Int, Int), Array[Long], Array[Long])]
+      val window = (from: Int, until: Int) => {
+        val sums = cube.windowSums(spec, from, until, s)
+        read += (((from, until), sums, sums.clone()))
+        sums
+      }
+      val got = ModelTier(s"ha$k", k).predict(window, day)
+      assert(read.map(_._1) == Seq((day - k, day)), s"HA($k) of day $day read ${read.map(_._1)}")
       // the window's HGrid counts, summed per MGrid straight from the cube
       val want = Array.tabulate(spec.n) { i =>
         (day - k until day).map { d =>
@@ -67,11 +75,11 @@ class ModelsSpec extends AnyFunSuite {
         }.sum.toDouble / k
       }
       assert(got.sameElements(want), s"n=$n slot $s HA($k) of day $day")
-      assert(read.indices.forall(d => read(d).sameElements(before(d))), "predict changed its input")
+      assert(read.forall { case (_, sums, before) => sums.sameElements(before) }, "predict changed its input")
     }
     for (k <- Seq(1, 8); day <- Seq(0, k - 1)) {
       val e = intercept[IllegalArgumentException] {
-        ModelTier(s"ha$k", k).predict(d => cube.blockSums(GridSpec(4, cube.side), d, 0), day)
+        ModelTier(s"ha$k", k).predict((from, until) => cube.windowSums(GridSpec(4, cube.side), from, until, 0), day)
       }
       assert(e.getMessage.contains(s"day $day"), e.getMessage)
     }
